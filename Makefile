@@ -10,7 +10,7 @@ GO ?= go
 #   make bench-search BENCH_LABEL=portfolio
 BENCH_LABEL ?=
 
-.PHONY: all build test race vet lint vuln bench bench-refine bench-search bench-serve bench-remap bench-replay bench-smoke fuzz-smoke ci clean
+.PHONY: all build test race vet lint vuln bench bench-refine bench-search bench-serve bench-remap bench-replay bench-smoke bench-module fuzz-smoke ci clean
 
 all: ci
 
@@ -97,6 +97,13 @@ bench-smoke:
 	$(GO) run ./cmd/mapbench -remapbench -bench-quick
 	$(GO) run ./cmd/mapbench -replaybench -bench-quick
 
+# The repository benchmark (bench/) is its own Go module, so `go test ./...`
+# at the root neither builds nor tests it. Vet and test it here, so an API
+# change in graph, ideal, critical or schedule that breaks the benchmark
+# fails CI instead of the next benchmark run.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # Short fuzzing pass so the checked-in fuzzers actually run in CI instead
 # of only replaying their corpus seeds: ~10s each on the text-format
 # parser and the server's request decoding/solve, remap and fleet
@@ -107,7 +114,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRemapRequest$$' -fuzztime 10s ./cmd/mapserve/
 	$(GO) test -run '^$$' -fuzz '^FuzzForwardRequest$$' -fuzztime 10s ./cmd/mapserve/
 
-ci: build vet lint test race bench-smoke fuzz-smoke
+ci: build vet lint test race bench-smoke bench-module fuzz-smoke
 
 clean:
 	$(GO) clean ./...

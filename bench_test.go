@@ -501,3 +501,38 @@ func benchMapStarts(b *testing.B, starts int) {
 
 func BenchmarkMapStarts1(b *testing.B) { benchMapStarts(b, 1) }
 func BenchmarkMapStarts8(b *testing.B) { benchMapStarts(b, 8) }
+
+// BenchmarkColdMapLarge maps the large-cold benchmark workload's shape —
+// one np=2000 random DAG (edge factor 3, sizes [1,20], weights [1,5]) on
+// mesh-8x16 with random clustering — from a fresh, unfrozen copy of the
+// problem each iteration (copied outside the timer), so the problem's
+// sparse view is rebuilt every time: the figure is a true cold set-up, not
+// a memoised one.
+func BenchmarkColdMapLarge(b *testing.B) {
+	const np = 2000
+	rng := rand.New(rand.NewSource(1991))
+	prob, err := mimdmap.RandomProblem(mimdmap.RandomProblemConfig{
+		Tasks: np, EdgeProb: 3.0 / np, MinTaskSize: 1, MaxTaskSize: 20,
+		MinEdgeWeight: 1, MaxEdgeWeight: 5, Connected: true,
+	}, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys := mimdmap.Mesh(8, 16)
+	clus, err := mimdmap.RandomClusterer(rng).Cluster(prob, sys.NumNodes())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		p := prob.Clone()
+		b.StartTimer()
+		if _, err := mimdmap.Map(p, clus, sys, &mimdmap.Options{
+			Rand: rand.New(rand.NewSource(int64(i) + 1)), Workers: 1,
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

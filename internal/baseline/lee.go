@@ -23,16 +23,17 @@ import (
 // their source task. Phases()[l] lists the (src,dst) pairs of level l.
 // Intra-cluster edges carry no communication and are excluded.
 func Phases(e *schedule.Evaluator) [][][2]int {
-	n := e.Prob.NumTasks()
-	level := make([]int, n)
-	order, err := e.Prob.TopoOrder()
+	v := e.View()
+	arcs := v.Arcs()
+	level := make([]int, v.NumTasks())
+	order, err := v.Order()
 	if err != nil {
 		panic(err) // evaluator construction already rejected cyclic graphs
 	}
 	maxLevel := 0
 	for _, i := range order {
-		for j := 0; j < n; j++ {
-			if e.Prob.Edge[j][i] > 0 && level[j]+1 > level[i] {
+		for _, id := range v.In(i) {
+			if j := arcs[id].From; level[j]+1 > level[i] {
 				level[i] = level[j] + 1
 			}
 		}
@@ -41,11 +42,9 @@ func Phases(e *schedule.Evaluator) [][][2]int {
 		}
 	}
 	phases := make([][][2]int, maxLevel+1)
-	for j := 0; j < n; j++ {
-		for i := 0; i < n; i++ {
-			if e.CEdge[j][i] > 0 {
-				phases[level[j]] = append(phases[level[j]], [2]int{j, i})
-			}
+	for id, arc := range arcs {
+		if e.CEdge(id) > 0 {
+			phases[level[arc.From]] = append(phases[level[arc.From]], [2]int{arc.From, arc.To})
 		}
 	}
 	// Drop trailing empty phases (the last level's tasks send nothing).
@@ -64,7 +63,7 @@ func CommCost(e *schedule.Evaluator, phases [][][2]int, a *schedule.Assignment) 
 		for _, edge := range phase {
 			j, i := edge[0], edge[1]
 			d := e.Dist.At(a.ProcOf[e.Clus.Of[j]], a.ProcOf[e.Clus.Of[i]])
-			if c := e.CEdge[j][i] * d; c > maxCost {
+			if c := e.CEdgeAt(j, i) * d; c > maxCost {
 				maxCost = c
 			}
 		}

@@ -100,7 +100,7 @@ func (Blocks) Cluster(p *graph.Problem, k int) (*graph.Clustering, error) {
 	if err := checkArgs(p, k); err != nil {
 		return nil, err
 	}
-	order, err := p.TopoOrder()
+	order, err := p.View().Order()
 	if err != nil {
 		return nil, err
 	}

@@ -34,10 +34,12 @@ func (DominantSequence) Cluster(p *graph.Problem, k int) (*graph.Clustering, err
 	if err := checkArgs(p, k); err != nil {
 		return nil, err
 	}
-	order, err := p.TopoOrder()
+	v := p.View()
+	order, err := v.Order()
 	if err != nil {
 		return nil, err
 	}
+	arcs := v.Arcs()
 	n := p.NumTasks()
 	clusterOf := make([]int, n)
 	for i := range clusterOf {
@@ -49,11 +51,11 @@ func (DominantSequence) Cluster(p *graph.Problem, k int) (*graph.Clustering, err
 	end := make([]int, n)
 
 	for _, i := range order {
-		preds := p.Preds(i)
+		preds := v.In(i) // edge IDs, sources ascending
 		// Start time if i opens a fresh cluster: all messages paid.
 		freshStart := 0
-		for _, j := range preds {
-			if t := end[j] + p.Edge[j][i]; t > freshStart {
+		for _, e := range preds {
+			if t := end[arcs[e].From] + arcs[e].W; t > freshStart {
 				freshStart = t
 			}
 		}
@@ -62,17 +64,18 @@ func (DominantSequence) Cluster(p *graph.Problem, k int) (*graph.Clustering, err
 		// already in that cluster, but i must wait for the cluster's last
 		// task to finish (sequential execution).
 		tried := map[int]bool{}
-		for _, j := range preds {
-			c := clusterOf[j]
+		for _, e := range preds {
+			c := clusterOf[arcs[e].From]
 			if tried[c] {
 				continue
 			}
 			tried[c] = true
 			ready := 0
-			for _, q := range preds {
+			for _, f := range preds {
+				q := arcs[f].From
 				t := end[q]
 				if clusterOf[q] != c {
-					t += p.Edge[q][i]
+					t += arcs[f].W
 				}
 				if t > ready {
 					ready = t

@@ -1,0 +1,51 @@
+package core
+
+import (
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"mimdmap/internal/cluster"
+	"mimdmap/internal/gen"
+	"mimdmap/internal/topology"
+)
+
+// TestColdLargeAllocation guards against the np×np set-up coming back: a
+// cold New+Run of a fresh, unfrozen np=2000 problem on a 128-processor mesh
+// must allocate O(np + edges + ns²), not the ~130 MB that dense clustered,
+// ideal and critical edge matrices cost at this size.
+func TestColdLargeAllocation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates an np=2000 instance")
+	}
+	const np, limit = 2000, 8 << 20
+	rng := rand.New(rand.NewSource(1991))
+	p, err := gen.Random(gen.RandomConfig{
+		Tasks: np, EdgeProb: 3.0 / np, MinTaskSize: 1, MaxTaskSize: 20,
+		MinEdgeWeight: 1, MaxEdgeWeight: 5, Connected: true,
+	}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := topology.Mesh(8, 16)
+	c, err := (&cluster.Random{Rand: rng}).Cluster(p, sys.NumNodes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m, err := New(p, c, sys, Options{Rand: rand.New(rand.NewSource(7))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("cold New+Run at np=%d allocated %.2f MB", np, float64(got)/(1<<20))
+	if got >= limit {
+		t.Fatalf("cold New+Run at np=%d allocated %.1f MB, want < %d MB", np, float64(got)/(1<<20), limit>>20)
+	}
+}

@@ -9,15 +9,20 @@
 //
 // Two propagation modes are provided:
 //
-//   - Paper (default): predecessors are found in the clustered edge matrix,
+//   - Paper (default): predecessors are found among the clustered edges,
 //     exactly as §4.2 Algorithm I states. An intra-cluster precedence edge
 //     (removed from the clustered graph) therefore stops the walk, even when
 //     it has zero slack.
-//   - Full: the walk also crosses tight intra-cluster edges (slack zero in
-//     the problem edge matrix). This finds inter-cluster edges that are
+//   - Full: the walk also crosses tight intra-cluster edges (slack zero
+//     over the problem edges). This finds inter-cluster edges that are
 //     critical by the paper's *definition* but missed by its *algorithm*
 //     when a zero-slack intra-cluster hop sits between them and the latest
 //     task. The ablation experiment E9 measures the difference.
+//
+// The paper's crit_edge is an np×np matrix; Analysis keeps one entry per
+// problem edge instead (indexed by edge ID of the problem's graph.View) and
+// walks the view's predecessor lists, so an analysis costs O(np + edges)
+// plus the K×K critical abstract matrix.
 package critical
 
 import (
@@ -53,11 +58,11 @@ func (p Propagation) String() string {
 type Analysis struct {
 	// Mode records the propagation mode used.
 	Mode Propagation
-	// ProbEdge is the critical problem edge matrix crit_edge:
-	// ProbEdge[j][i] is the clustered weight of critical edge j→i, 0 if the
-	// edge is not critical.
-	ProbEdge [][]int
-	// AbsEdge is the critical abstract edge matrix c_abs_edge (symmetric,
+	// ProbEdge is crit_edge in sparse form, indexed by edge ID: ProbEdge[e]
+	// is the clustered weight of critical edge e, 0 if the edge is not
+	// critical. ProbEdgeAt looks an edge up by its endpoints.
+	ProbEdge []int
+	// AbsEdge is the K×K critical abstract edge matrix c_abs_edge (symmetric,
 	// without the paper's extra degree column): AbsEdge[k][l] is the summed
 	// weight of critical problem edges between clusters k and l.
 	AbsEdge [][]int
@@ -68,6 +73,8 @@ type Analysis struct {
 	// OnCriticalPath[i] reports that delaying the start of task i delays
 	// the total time — task i was reached by the backward walk.
 	OnCriticalPath []bool
+
+	view *graph.View
 }
 
 // Analyze computes the critical problem edges, critical abstract edges and
@@ -75,12 +82,15 @@ type Analysis struct {
 // c) under the given propagation mode.
 func Analyze(p *graph.Problem, c *graph.Clustering, g *ideal.Graph, mode Propagation) *Analysis {
 	n := p.NumTasks()
+	v := p.View()
+	arcs := v.Arcs()
 	a := &Analysis{
 		Mode:           mode,
-		ProbEdge:       newMatrix(n),
+		ProbEdge:       make([]int, len(arcs)),
 		AbsEdge:        newMatrix(c.K),
 		Degree:         make([]int, c.K),
 		OnCriticalPath: make([]bool, n),
+		view:           v,
 	}
 
 	// Backward walk from the latest tasks (§4.2 Algorithm I). The visited
@@ -95,26 +105,28 @@ func Analyze(p *graph.Problem, c *graph.Clustering, g *ideal.Graph, mode Propaga
 	for len(worklist) > 0 {
 		i := worklist[len(worklist)-1]
 		worklist = worklist[:len(worklist)-1]
-		for j := 0; j < n; j++ {
+		for _, e := range v.In(i) {
+			j := arcs[e].From
 			switch mode {
 			case Paper:
-				// Predecessors found in clus_edge; tight iff
+				// Predecessors found among the clustered edges; tight iff
 				// i_edge == clus_edge.
-				if g.CEdge[j][i] > 0 && g.Edge[j][i] == g.CEdge[j][i] {
-					a.ProbEdge[j][i] = g.CEdge[j][i]
+				if g.CEdge[e] > 0 && g.Edge[e] == g.CEdge[e] {
+					a.ProbEdge[e] = g.CEdge[e]
 					if !a.OnCriticalPath[j] {
 						a.OnCriticalPath[j] = true
 						worklist = append(worklist, j)
 					}
 				}
 			case Full:
-				// Predecessors found in prob_edge; tight iff the start of
-				// i equals the delivery time from j. For inter-cluster
-				// edges this coincides with i_edge == clus_edge; for
-				// intra-cluster edges it is slack zero with comm 0.
-				if p.Edge[j][i] > 0 && g.Start[i] == g.End[j]+g.CEdge[j][i] {
-					if g.CEdge[j][i] > 0 {
-						a.ProbEdge[j][i] = g.CEdge[j][i]
+				// Predecessors found among all problem edges; tight iff the
+				// start of i equals the delivery time from j. For
+				// inter-cluster edges this coincides with i_edge ==
+				// clus_edge; for intra-cluster edges it is slack zero with
+				// comm 0.
+				if g.Start[i] == g.End[j]+g.CEdge[e] {
+					if g.CEdge[e] > 0 {
+						a.ProbEdge[e] = g.CEdge[e]
 					}
 					if !a.OnCriticalPath[j] {
 						a.OnCriticalPath[j] = true
@@ -127,13 +139,11 @@ func Analyze(p *graph.Problem, c *graph.Clustering, g *ideal.Graph, mode Propaga
 
 	// Fold critical problem edges into critical abstract edges
 	// (§4.2 Algorithm II) and row-sum the critical degrees (Algorithm III).
-	for j := 0; j < n; j++ {
-		for i := 0; i < n; i++ {
-			if w := a.ProbEdge[j][i]; w > 0 {
-				k, l := c.Of[j], c.Of[i]
-				a.AbsEdge[k][l] += w
-				a.AbsEdge[l][k] += w
-			}
+	for e, w := range a.ProbEdge {
+		if w > 0 {
+			k, l := c.Of[arcs[e].From], c.Of[arcs[e].To]
+			a.AbsEdge[k][l] += w
+			a.AbsEdge[l][k] += w
 		}
 	}
 	for k := 0; k < c.K; k++ {
@@ -142,6 +152,15 @@ func Analyze(p *graph.Problem, c *graph.Clustering, g *ideal.Graph, mode Propaga
 		}
 	}
 	return a
+}
+
+// ProbEdgeAt returns crit_edge[j][i]: the clustered weight of problem edge
+// j→i when it is critical, else 0.
+func (a *Analysis) ProbEdgeAt(j, i int) int {
+	if e := a.view.Find(j, i); e >= 0 {
+		return a.ProbEdge[e]
+	}
+	return 0
 }
 
 // HasCriticalEdges reports whether any critical problem edge exists. A
@@ -172,11 +191,9 @@ func (a *Analysis) CriticalClusters() []int {
 // NumCriticalProbEdges returns the count of critical problem edges.
 func (a *Analysis) NumCriticalProbEdges() int {
 	n := 0
-	for j := range a.ProbEdge {
-		for i := range a.ProbEdge[j] {
-			if a.ProbEdge[j][i] > 0 {
-				n++
-			}
+	for _, w := range a.ProbEdge {
+		if w > 0 {
+			n++
 		}
 	}
 	return n
@@ -221,13 +238,14 @@ func LongestCriticalChain(p *graph.Problem, g *ideal.Graph) []int {
 	if len(g.LatestTasks) == 0 {
 		return nil
 	}
+	v := p.View()
+	arcs := v.Arcs()
 	chain := []int{g.LatestTasks[0]}
 	cur := g.LatestTasks[0]
-	n := p.NumTasks()
 	for {
 		next := -1
-		for j := 0; j < n; j++ {
-			if p.Edge[j][cur] > 0 && g.Start[cur] == g.End[j]+g.CEdge[j][cur] {
+		for _, e := range v.In(cur) {
+			if j := arcs[e].From; g.Start[cur] == g.End[j]+g.CEdge[e] {
 				next = j
 				break
 			}

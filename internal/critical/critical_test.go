@@ -45,14 +45,14 @@ func TestPaperModeRunningExample(t *testing.T) {
 	// Paper-mode walk: latest task 9; its only clustered predecessor edge
 	// 8→9 is tight → critical. Task 8's predecessors are intra-cluster, so
 	// the walk stops there.
-	if a.ProbEdge[8][9] != 3 {
-		t.Fatalf("edge 8→9 weight = %d, want 3", a.ProbEdge[8][9])
+	if a.ProbEdgeAt(8, 9) != 3 {
+		t.Fatalf("edge 8→9 weight = %d, want 3", a.ProbEdgeAt(8, 9))
 	}
 	if n := a.NumCriticalProbEdges(); n != 1 {
 		t.Fatalf("critical edges = %d, want 1", n)
 	}
 	// Tight-but-not-on-critical-path edge 5→10 must NOT be critical.
-	if a.ProbEdge[5][10] != 0 {
+	if a.ProbEdgeAt(5, 10) != 0 {
 		t.Fatal("edge 5→10 wrongly critical (task 10 is not latest)")
 	}
 	if got := a.Degree; !reflect.DeepEqual(got, []int{0, 0, 3, 3}) {
@@ -78,15 +78,15 @@ func TestFullModeRunningExample(t *testing.T) {
 	// 2→3 (A→B), 5→6 (B→C), 8→9 (C→D) becomes critical.
 	want := map[[2]int]int{{2, 3}: 2, {5, 6}: 2, {8, 9}: 3}
 	for e, w := range want {
-		if a.ProbEdge[e[0]][e[1]] != w {
-			t.Errorf("edge %d→%d = %d, want %d", e[0], e[1], a.ProbEdge[e[0]][e[1]], w)
+		if a.ProbEdgeAt(e[0], e[1]) != w {
+			t.Errorf("edge %d→%d = %d, want %d", e[0], e[1], a.ProbEdgeAt(e[0], e[1]), w)
 		}
 	}
 	if n := a.NumCriticalProbEdges(); n != 3 {
 		t.Fatalf("critical edges = %d, want 3", n)
 	}
 	// 5→10 is tight but leads only to a non-latest task: still not critical.
-	if a.ProbEdge[5][10] != 0 {
+	if a.ProbEdgeAt(5, 10) != 0 {
 		t.Fatal("edge 5→10 wrongly critical in full mode")
 	}
 	if got := a.Degree; !reflect.DeepEqual(got, []int{2, 4, 5, 3}) {
@@ -143,7 +143,7 @@ func TestMultipleLatestTasks(t *testing.T) {
 		t.Fatalf("latest tasks = %v, want two", g.LatestTasks)
 	}
 	a := Analyze(p, c, g, Paper)
-	if a.ProbEdge[0][1] != 2 || a.ProbEdge[2][3] != 2 {
+	if a.ProbEdgeAt(0, 1) != 2 || a.ProbEdgeAt(2, 3) != 2 {
 		t.Fatal("both chains should be critical")
 	}
 	if got := a.Degree; !reflect.DeepEqual(got, []int{2, 2, 2, 2}) {
@@ -178,7 +178,7 @@ func TestLongestCriticalChainRunningExample(t *testing.T) {
 	for i, task := range chain {
 		total += p.Size[task]
 		if i+1 < len(chain) {
-			total += g.CEdge[task][chain[i+1]]
+			total += g.CEdgeAt(task, chain[i+1])
 		}
 	}
 	if total != g.LowerBound {
@@ -214,10 +214,10 @@ func TestLongestCriticalChainProperty(t *testing.T) {
 				if p.Edge[task][next] == 0 {
 					return false
 				}
-				if g.Start[next] != g.End[task]+g.CEdge[task][next] {
+				if g.Start[next] != g.End[task]+g.CEdgeAt(task, next) {
 					return false
 				}
-				total += g.CEdge[task][next]
+				total += g.CEdgeAt(task, next)
 			}
 		}
 		return total == g.LowerBound
@@ -268,7 +268,7 @@ func TestCriticalEdgesAreDefinitionallyCritical(t *testing.T) {
 			a := Analyze(p, c, g, mode)
 			for j := 0; j < p.NumTasks(); j++ {
 				for i := 0; i < p.NumTasks(); i++ {
-					if a.ProbEdge[j][i] == 0 {
+					if a.ProbEdgeAt(j, i) == 0 {
 						continue
 					}
 					// Bump the problem edge weight (the clustered weight
@@ -305,7 +305,7 @@ func TestFullModeIsComplete(t *testing.T) {
 		a := Analyze(p, c, g, Full)
 		for j := 0; j < p.NumTasks(); j++ {
 			for i := 0; i < p.NumTasks(); i++ {
-				if g.CEdge[j][i] == 0 {
+				if g.CEdgeAt(j, i) == 0 {
 					continue
 				}
 				q := p.Clone()
@@ -315,7 +315,7 @@ func TestFullModeIsComplete(t *testing.T) {
 					return false
 				}
 				definitional := g2.LowerBound > g.LowerBound
-				marked := a.ProbEdge[j][i] > 0
+				marked := a.ProbEdgeAt(j, i) > 0
 				if definitional != marked {
 					return false
 				}
@@ -342,7 +342,7 @@ func TestPaperSubsetOfFull(t *testing.T) {
 		full := Analyze(p, c, g, Full)
 		for j := 0; j < p.NumTasks(); j++ {
 			for i := 0; i < p.NumTasks(); i++ {
-				if paper.ProbEdge[j][i] > 0 && full.ProbEdge[j][i] == 0 {
+				if paper.ProbEdgeAt(j, i) > 0 && full.ProbEdgeAt(j, i) == 0 {
 					return false
 				}
 			}
@@ -372,7 +372,7 @@ func TestAbstractFoldingConsistent(t *testing.T) {
 		}
 		for j := 0; j < p.NumTasks(); j++ {
 			for i := 0; i < p.NumTasks(); i++ {
-				if w := a.ProbEdge[j][i]; w > 0 {
+				if w := a.ProbEdgeAt(j, i); w > 0 {
 					want[c.Of[j]][c.Of[i]] += w
 					want[c.Of[i]][c.Of[j]] += w
 				}

@@ -48,7 +48,7 @@ type Result struct {
 // correct).
 func Solve(e *schedule.Evaluator, idealBound int, opts Options) *Result {
 	k := e.Clus.K
-	topo, err := e.Prob.TopoOrder()
+	topo, err := e.View().Order()
 	if err != nil {
 		// The evaluator's constructor already rejected cyclic graphs.
 		panic(err)
@@ -101,7 +101,7 @@ type solver struct {
 	budgetHit  bool
 	done       bool
 
-	topo []int // cached topological order of the task DAG
+	topo []int // topological order of the task DAG (the view's, shared)
 	end  []int // scratch buffer for partial evaluation
 }
 
@@ -110,13 +110,10 @@ type solver struct {
 func intensityOrder(e *schedule.Evaluator) []int {
 	k := e.Clus.K
 	weight := make([]int, k)
-	n := e.Prob.NumTasks()
-	for j := 0; j < n; j++ {
-		for i := 0; i < n; i++ {
-			if w := e.CEdge[j][i]; w > 0 {
-				weight[e.Clus.Of[j]] += w
-				weight[e.Clus.Of[i]] += w
-			}
+	for id, arc := range e.View().Arcs() {
+		if w := e.CEdge(id); w > 0 {
+			weight[e.Clus.Of[arc.From]] += w
+			weight[e.Clus.Of[arc.To]] += w
 		}
 	}
 	order := make([]int, k)
@@ -182,18 +179,17 @@ func (s *solver) dfs(depth int) {
 // every communication weight).
 func (s *solver) partialTotalTime() int {
 	e := s.e
-	n := e.Prob.NumTasks()
+	v := e.View()
+	arcs := v.Arcs()
 	end := s.end
 	total := 0
 	for _, i := range s.topo {
 		start := 0
 		ci := e.Clus.Of[i]
-		for j := 0; j < n; j++ {
-			if e.Prob.Edge[j][i] == 0 {
-				continue
-			}
+		for _, id := range v.In(i) {
+			j := arcs[id].From
 			t := end[j]
-			if w := e.CEdge[j][i]; w > 0 {
+			if w := e.CEdge(id); w > 0 {
 				d := 1
 				pj, pi := s.procOf[e.Clus.Of[j]], s.procOf[ci]
 				if pj >= 0 && pi >= 0 {

@@ -160,7 +160,7 @@ func CommCostReport() (string, error) {
 	for i, phase := range phases {
 		fmt.Fprintf(&b, "  phase %d:", i+1)
 		for _, edge := range phase {
-			fmt.Fprintf(&b, " (%d,%d)=%d", edge[0], edge[1], e.CEdge[edge[0]][edge[1]])
+			fmt.Fprintf(&b, " (%d,%d)=%d", edge[0], edge[1], e.CEdgeAt(edge[0], edge[1]))
 		}
 		b.WriteByte('\n')
 	}
@@ -202,11 +202,10 @@ func RunningReport() (string, error) {
 	b.WriteByte('\n')
 
 	fmt.Fprintf(&b, "critical problem edges (Fig. 22-c analogue):")
-	for j := range out.Critical.ProbEdge {
-		for i := range out.Critical.ProbEdge[j] {
-			if w := out.Critical.ProbEdge[j][i]; w > 0 {
-				fmt.Fprintf(&b, " (%d,%d)=%d", j, i, w)
-			}
+	arcs := ex.Prob.View().Arcs()
+	for id, w := range out.Critical.ProbEdge {
+		if w > 0 {
+			fmt.Fprintf(&b, " (%d,%d)=%d", arcs[id].From, arcs[id].To, w)
 		}
 	}
 	b.WriteByte('\n')

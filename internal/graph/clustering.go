@@ -112,26 +112,26 @@ func (c *Clustering) Canonical() *Clustering {
 	return d
 }
 
-// ClusteredEdges returns the clustered problem edge matrix clus_edge: the
-// problem edge matrix with every intra-cluster edge removed (weight 0).
-// Precedence constraints between same-cluster tasks still exist — they are
-// recovered from the problem edge matrix during evaluation — but their
-// communication cost is zero, since the tasks share a processor.
-func ClusteredEdges(p *Problem, c *Clustering) [][]int {
-	n := p.NumTasks()
-	ce := make([][]int, n)
-	cells := make([]int, n*n)
-	for i := range ce {
-		ce[i], cells = cells[:n:n], cells[n:]
+// CommWeight returns the clustered weight of problem edge a — its entry in
+// the paper's clustered edge matrix clus_edge: the problem weight when the
+// edge joins two clusters, 0 when it stays inside one. The precedence
+// constraint between same-cluster tasks still exists, but its
+// communication is free, since the tasks share a processor.
+func (c *Clustering) CommWeight(a Arc) int {
+	if c.Of[a.From] == c.Of[a.To] {
+		return 0
 	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if p.Edge[i][j] > 0 && c.Of[i] != c.Of[j] {
-				ce[i][j] = p.Edge[i][j]
-			}
-		}
+	return a.W
+}
+
+// ClusteredWeights returns clus_edge in sparse form: CommWeight of every
+// edge of v, indexed by edge ID.
+func ClusteredWeights(v *View, c *Clustering) []int {
+	cw := make([]int, v.NumEdges())
+	for e, a := range v.arcs {
+		cw[e] = c.CommWeight(a)
 	}
-	return ce
+	return cw
 }
 
 // Abstract is the abstract graph Ga: each cluster collapsed to a single
@@ -154,12 +154,11 @@ func BuildAbstract(p *Problem, c *Clustering) *Abstract {
 	for i := range a.Weight {
 		a.Weight[i], cells = cells[:c.K:c.K], cells[c.K:]
 	}
-	for i := range p.Edge {
-		for j := range p.Edge[i] {
-			if w := p.Edge[i][j]; w > 0 && c.Of[i] != c.Of[j] {
-				a.Weight[c.Of[i]][c.Of[j]] += w
-				a.Weight[c.Of[j]][c.Of[i]] += w
-			}
+	for _, arc := range p.View().arcs {
+		if w := c.CommWeight(arc); w > 0 {
+			k, l := c.Of[arc.From], c.Of[arc.To]
+			a.Weight[k][l] += w
+			a.Weight[l][k] += w
 		}
 	}
 	return a

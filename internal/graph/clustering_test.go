@@ -83,12 +83,13 @@ func TestClusteredEdgesRemovesIntraCluster(t *testing.T) {
 	p.SetEdge(2, 3, 2) // intra (both cluster 1)
 	c := NewClustering(4, 2)
 	c.Of = []int{0, 0, 1, 1}
-	ce := ClusteredEdges(p, c)
-	if ce[0][1] != 0 || ce[2][3] != 0 {
+	v := p.View()
+	cw := ClusteredWeights(v, c)
+	if cw[v.Find(0, 1)] != 0 || cw[v.Find(2, 3)] != 0 {
 		t.Fatal("intra-cluster edges not removed")
 	}
-	if ce[1][2] != 3 {
-		t.Fatalf("inter-cluster edge = %d, want 3", ce[1][2])
+	if got := cw[v.Find(1, 2)]; got != 3 {
+		t.Fatalf("inter-cluster edge = %d, want 3", got)
 	}
 }
 
@@ -198,17 +199,16 @@ func TestClusteredEdgesPropertySubsetOfProblem(t *testing.T) {
 		for i := range c.Of {
 			c.Of[i] = rng.Intn(k)
 		}
-		ce := ClusteredEdges(p, c)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				switch {
-				case ce[i][j] != 0 && ce[i][j] != p.Edge[i][j]:
-					return false // weight must be preserved
-				case ce[i][j] != 0 && c.Of[i] == c.Of[j]:
-					return false // intra-cluster must be dropped
-				case p.Edge[i][j] > 0 && c.Of[i] != c.Of[j] && ce[i][j] == 0:
-					return false // inter-cluster must be kept
-				}
+		v := p.View()
+		cw := ClusteredWeights(v, c)
+		for e, a := range v.Arcs() {
+			switch {
+			case cw[e] != 0 && cw[e] != p.Edge[a.From][a.To]:
+				return false // weight must be preserved
+			case cw[e] != 0 && c.Of[a.From] == c.Of[a.To]:
+				return false // intra-cluster must be dropped
+			case c.Of[a.From] != c.Of[a.To] && cw[e] == 0:
+				return false // inter-cluster must be kept
 			}
 		}
 		return true

@@ -30,6 +30,10 @@ import (
 // already the de facto contract — the service layer shares graph pointers
 // between cached responses and their callers — and construction (builders,
 // parsers, generators) happens strictly before any fingerprint use.
+//
+// For a Problem the freeze point also builds its sparse View (view.go),
+// which Fingerprint hashes; Validate, TopoOrder and View freeze it too, and
+// SetEdge on a frozen problem panics.
 
 // Fingerprint is a 256-bit content address of a graph structure.
 type Fingerprint [32]byte
@@ -139,26 +143,18 @@ func (p *Problem) Fingerprint() Fingerprint {
 	return p.fp.memo(p.fingerprint)
 }
 
+// fingerprint hashes the frozen view. Its edges are the matrix cells of
+// weight > 0 in row-major order, so the bytes are those the dense scan
+// hashed and the v1 tag stands.
 func (p *Problem) fingerprint() Fingerprint {
+	v := p.View()
 	h := NewHasher("mimdmap/problem/v1")
 	h.Ints(p.Size)
-	edges := 0
-	for i := range p.Edge {
-		for j := range p.Edge[i] {
-			if p.Edge[i][j] > 0 {
-				edges++
-			}
-		}
-	}
-	h.Int(edges)
-	for i := range p.Edge {
-		for j := range p.Edge[i] {
-			if w := p.Edge[i][j]; w > 0 {
-				h.Int(i)
-				h.Int(j)
-				h.Int(w)
-			}
-		}
+	h.Int(v.NumEdges())
+	for _, a := range v.arcs {
+		h.Int(a.From)
+		h.Int(a.To)
+		h.Int(a.W)
 	}
 	return h.Sum()
 }

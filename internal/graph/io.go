@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -289,21 +288,12 @@ func atoiField(fields []string, idx int, what string) (int, error) {
 
 // EdgeList returns the problem edges as (src,dst,weight) triples sorted by
 // source then destination — a convenience for deterministic iteration and
-// for rendering.
+// for rendering. It reads, and so freezes, the problem's View, whose edge
+// IDs follow the same order.
 func (p *Problem) EdgeList() [][3]int {
 	var es [][3]int
-	for i := range p.Edge {
-		for j := range p.Edge[i] {
-			if p.Edge[i][j] > 0 {
-				es = append(es, [3]int{i, j, p.Edge[i][j]})
-			}
-		}
+	for _, a := range p.View().arcs {
+		es = append(es, [3]int{a.From, a.To, a.W})
 	}
-	sort.Slice(es, func(a, b int) bool {
-		if es[a][0] != es[b][0] {
-			return es[a][0] < es[b][0]
-		}
-		return es[a][1] < es[b][1]
-	})
 	return es
 }

@@ -15,13 +15,18 @@ package graph
 
 import (
 	"errors"
-	"fmt"
+	"sync/atomic"
 )
 
 // Problem is a problem graph Gp: a directed acyclic graph whose nodes are
 // tasks with execution-time weights and whose edges carry communication-time
 // weights. Edge[i][j] > 0 means task i must complete before task j starts
 // and sends a message of cost Edge[i][j] (per system edge traversed).
+//
+// Edge is the input form that parsers, generators and Diff read and write.
+// Everything that runs per solve reads the frozen sparse View instead,
+// built on first use (Validate, TopoOrder, Fingerprint, View); after that
+// freeze point the problem must not change, and SetEdge panics.
 //
 // The zero value is an empty graph with no tasks; use NewProblem to allocate
 // a graph of a given size.
@@ -34,9 +39,11 @@ type Problem struct {
 	// or 0 if there is no edge.
 	Edge [][]int
 
-	// fp memoizes Fingerprint; see the freeze-point contract in
-	// fingerprint.go. It also makes Problem no-copy (vet: copylocks).
-	fp fpMemo
+	// fp and view memoize Fingerprint and View; see the freeze-point
+	// contract in fingerprint.go. They also make Problem no-copy (vet:
+	// copylocks).
+	fp   fpMemo
+	view atomic.Pointer[View]
 }
 
 // NewProblem returns a problem graph with n tasks, no edges, and all task
@@ -53,35 +60,60 @@ func NewProblem(n int) *Problem {
 	return p
 }
 
+// View returns the frozen sparse view of the problem, building it on first
+// use. The first call is the problem's freeze point: later changes to Size
+// or Edge are not seen, and SetEdge panics. Concurrent first calls build
+// equal views and all return the one that was stored.
+func (p *Problem) View() *View {
+	if v := p.view.Load(); v != nil {
+		return v
+	}
+	v := newView(p)
+	if !p.view.CompareAndSwap(nil, v) {
+		v = p.view.Load()
+	}
+	return v
+}
+
+// frozen returns the view when the problem is frozen and well shaped, nil
+// otherwise. Degree queries use it to avoid both a dense scan and freezing
+// a problem that is still under construction.
+func (p *Problem) frozen() *View {
+	if v := p.view.Load(); v != nil && v.square {
+		return v
+	}
+	return nil
+}
+
 // NumTasks returns np, the number of tasks.
 func (p *Problem) NumTasks() int { return len(p.Size) }
 
 // SetEdge records the precedence edge i→j with communication weight w.
-// It panics if i or j is out of range; use Validate to detect semantic
-// problems such as cycles or non-positive weights.
+// It panics if i or j is out of range, or if the problem is frozen (see
+// View); use Validate to detect semantic problems such as cycles or
+// non-positive weights.
 func (p *Problem) SetEdge(i, j, w int) {
+	if p.view.Load() != nil {
+		panic("graph: SetEdge on a frozen problem")
+	}
 	p.Edge[i][j] = w
 }
 
 // HasEdge reports whether the precedence edge i→j exists.
 func (p *Problem) HasEdge(i, j int) bool { return p.Edge[i][j] > 0 }
 
-// NumEdges returns the number of precedence edges.
-func (p *Problem) NumEdges() int {
-	n := 0
-	for i := range p.Edge {
-		for j := range p.Edge[i] {
-			if p.Edge[i][j] > 0 {
-				n++
-			}
-		}
-	}
-	return n
-}
+// NumEdges returns the number of precedence edges. It freezes the problem.
+func (p *Problem) NumEdges() int { return p.View().NumEdges() }
 
 // Preds returns the predecessor task IDs of task i in ascending order.
 func (p *Problem) Preds(i int) []int {
 	var preds []int
+	if v := p.frozen(); v != nil {
+		for _, e := range v.In(i) {
+			preds = append(preds, v.arcs[e].From)
+		}
+		return preds
+	}
 	for j := range p.Edge {
 		if p.Edge[j][i] > 0 {
 			preds = append(preds, j)
@@ -93,6 +125,13 @@ func (p *Problem) Preds(i int) []int {
 // Succs returns the successor task IDs of task i in ascending order.
 func (p *Problem) Succs(i int) []int {
 	var succs []int
+	if v := p.frozen(); v != nil {
+		lo, hi := v.Out(i)
+		for _, a := range v.arcs[lo:hi] {
+			succs = append(succs, a.To)
+		}
+		return succs
+	}
 	for j := range p.Edge[i] {
 		if p.Edge[i][j] > 0 {
 			succs = append(succs, j)
@@ -101,8 +140,13 @@ func (p *Problem) Succs(i int) []int {
 	return succs
 }
 
-// InDegree returns the number of predecessors of task i.
+// InDegree returns the number of predecessors of task i. On a problem that
+// is not yet frozen — generators call it mid-construction — it scans the
+// dense column and leaves the problem unfrozen.
 func (p *Problem) InDegree(i int) int {
+	if v := p.frozen(); v != nil {
+		return v.InDegree(i)
+	}
 	n := 0
 	for j := range p.Edge {
 		if p.Edge[j][i] > 0 {
@@ -112,8 +156,12 @@ func (p *Problem) InDegree(i int) int {
 	return n
 }
 
-// OutDegree returns the number of successors of task i.
+// OutDegree returns the number of successors of task i. Like InDegree it
+// scans the dense row of a problem that is not yet frozen.
 func (p *Problem) OutDegree(i int) int {
+	if v := p.frozen(); v != nil {
+		return v.OutDegree(i)
+	}
 	n := 0
 	for j := range p.Edge[i] {
 		if p.Edge[i][j] > 0 {
@@ -133,18 +181,16 @@ func (p *Problem) TotalWork() int {
 	return w
 }
 
-// TotalComm returns the sum of all edge weights.
+// TotalComm returns the sum of all edge weights. It freezes the problem.
 func (p *Problem) TotalComm() int {
 	w := 0
-	for i := range p.Edge {
-		for j := range p.Edge[i] {
-			w += p.Edge[i][j]
-		}
+	for _, a := range p.View().arcs {
+		w += a.W
 	}
 	return w
 }
 
-// Clone returns a deep copy of the problem graph.
+// Clone returns a deep copy of the problem graph. The copy is not frozen.
 func (p *Problem) Clone() *Problem {
 	q := NewProblem(p.NumTasks())
 	copy(q.Size, p.Size)
@@ -181,103 +227,40 @@ var ErrCyclic = errors.New("graph: problem graph contains a cycle")
 
 // Validate checks the structural invariants of a problem graph: a square
 // edge matrix matching len(Size), non-negative task sizes and edge weights,
-// no self-loops, and acyclicity.
-func (p *Problem) Validate() error {
-	n := p.NumTasks()
-	if len(p.Edge) != n {
-		return fmt.Errorf("graph: edge matrix has %d rows, want %d", len(p.Edge), n)
-	}
-	for i := range p.Edge {
-		if len(p.Edge[i]) != n {
-			return fmt.Errorf("graph: edge matrix row %d has %d columns, want %d", i, len(p.Edge[i]), n)
-		}
-	}
-	for i, s := range p.Size {
-		if s < 0 {
-			return fmt.Errorf("graph: task %d has negative size %d", i, s)
-		}
-	}
-	for i := range p.Edge {
-		for j := range p.Edge[i] {
-			if p.Edge[i][j] < 0 {
-				return fmt.Errorf("graph: edge %d→%d has negative weight %d", i, j, p.Edge[i][j])
-			}
-			if i == j && p.Edge[i][j] != 0 {
-				return fmt.Errorf("graph: task %d has a self-loop", i)
-			}
-		}
-	}
-	if _, err := p.TopoOrder(); err != nil {
-		return err
-	}
-	return nil
-}
+// no self-loops, and acyclicity. It freezes the problem: the verdict is
+// computed once, with the view.
+func (p *Problem) Validate() error { return p.View().Err() }
 
 // TopoOrder returns the task IDs in a topological order of the precedence
 // DAG (Kahn's algorithm; ties broken by ascending task ID so the order is
-// deterministic). It returns ErrCyclic if the graph has a cycle.
+// deterministic). It returns ErrCyclic if the graph has a cycle. The slice
+// is the caller's own copy; View().Order() shares the frozen one.
 func (p *Problem) TopoOrder() ([]int, error) {
-	n := p.NumTasks()
-	indeg := make([]int, n)
-	for i := range p.Edge {
-		for j := range p.Edge[i] {
-			if p.Edge[i][j] > 0 {
-				indeg[j]++
-			}
-		}
+	order, err := p.View().Order()
+	if err != nil {
+		return nil, err
 	}
-	// ready is kept sorted by construction: we scan IDs in ascending order
-	// and append newly freed tasks, then always take the minimum.
-	order := make([]int, 0, n)
-	ready := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			ready = append(ready, i)
-		}
-	}
-	for len(ready) > 0 {
-		// Extract the minimum for determinism.
-		min := 0
-		for k := 1; k < len(ready); k++ {
-			if ready[k] < ready[min] {
-				min = k
-			}
-		}
-		v := ready[min]
-		ready[min] = ready[len(ready)-1]
-		ready = ready[:len(ready)-1]
-		order = append(order, v)
-		for j := range p.Edge[v] {
-			if p.Edge[v][j] > 0 {
-				indeg[j]--
-				if indeg[j] == 0 {
-					ready = append(ready, j)
-				}
-			}
-		}
-	}
-	if len(order) != n {
-		return nil, ErrCyclic
-	}
-	return order, nil
+	return append([]int(nil), order...), nil
 }
 
-// Sources returns the tasks with no predecessors.
+// Sources returns the tasks with no predecessors. It freezes the problem.
 func (p *Problem) Sources() []int {
+	v := p.View()
 	var srcs []int
-	for i := 0; i < p.NumTasks(); i++ {
-		if p.InDegree(i) == 0 {
+	for i := 0; i < v.n; i++ {
+		if v.InDegree(i) == 0 {
 			srcs = append(srcs, i)
 		}
 	}
 	return srcs
 }
 
-// Sinks returns the tasks with no successors.
+// Sinks returns the tasks with no successors. It freezes the problem.
 func (p *Problem) Sinks() []int {
+	v := p.View()
 	var snks []int
-	for i := 0; i < p.NumTasks(); i++ {
-		if p.OutDegree(i) == 0 {
+	for i := 0; i < v.n; i++ {
+		if v.OutDegree(i) == 0 {
 			snks = append(snks, i)
 		}
 	}
@@ -288,19 +271,19 @@ func (p *Problem) Sinks() []int {
 // sizes and edge weights: the ideal-graph lower bound for the special case
 // where every task is its own cluster. It panics if the graph is cyclic.
 func (p *Problem) CriticalPathLength() int {
-	order, err := p.TopoOrder()
+	v := p.View()
+	order, err := v.Order()
 	if err != nil {
 		panic(err)
 	}
-	end := make([]int, p.NumTasks())
+	end := make([]int, v.n)
 	best := 0
 	for _, i := range order {
 		start := 0
-		for j := range p.Edge {
-			if p.Edge[j][i] > 0 {
-				if t := end[j] + p.Edge[j][i]; t > start {
-					start = t
-				}
+		for _, e := range v.In(i) {
+			a := v.arcs[e]
+			if t := end[a.From] + a.W; t > start {
+				start = t
 			}
 		}
 		end[i] = start + p.Size[i]

@@ -2,9 +2,12 @@
 // clustered problem graph onto the system graph closure (a fully connected
 // machine). Because every pair of processors in the closure is adjacent,
 // every inter-cluster message crosses exactly one link, so the ideal start
-// and end times follow directly from the clustered edge matrix. The ideal
+// and end times follow directly from the clustered edge weights. The ideal
 // makespan is a lower bound on the total time of any real assignment
-// (Theorem 3), and the ideal edge matrix feeds the critical-edge analysis.
+// (Theorem 3), and the ideal edge weights feed the critical-edge analysis.
+// The paper states both as np×np matrices (clus_edge, i_edge); this package
+// keeps one entry per problem edge instead, so a derivation costs
+// O(np + edges).
 package ideal
 
 import (
@@ -13,16 +16,18 @@ import (
 	"mimdmap/internal/graph"
 )
 
-// Graph is the derived ideal graph Gi.
+// Graph is the derived ideal graph Gi. Edge data is sparse: Edge and CEdge
+// hold one entry per problem edge, indexed by edge ID of the problem's
+// graph.View; EdgeAt, CEdgeAt and Slack look an edge up by its endpoints.
 type Graph struct {
 	// Start and End are the ideal start/end time of every task
 	// (matrices i_start and i_end of the paper).
 	Start, End []int
-	// Edge is the ideal edge matrix i_edge: Edge[j][i] = Start[i] − End[j]
-	// for every clustered problem edge j→i (clus_edge[j][i] > 0), else 0.
-	// Always Edge[j][i] ≥ clus_edge[j][i]; the excess is slack introduced
-	// by data dependencies.
-	Edge [][]int
+	// Edge is the ideal edge weight i_edge of every problem edge:
+	// Edge[e] = Start[i] − End[j] for a clustered problem edge e = j→i
+	// (CEdge[e] > 0), else 0. Always Edge[e] ≥ CEdge[e]; the excess is
+	// slack introduced by data dependencies.
+	Edge []int
 	// LowerBound is the ideal total time: the makespan no assignment onto
 	// the real system graph can beat.
 	LowerBound int
@@ -30,9 +35,12 @@ type Graph struct {
 	// in ascending ID order.
 	LatestTasks []int
 
-	// CEdge is the clustered edge matrix the graph was derived from,
-	// retained because the critical-edge analysis compares Edge against it.
-	CEdge [][]int
+	// CEdge is the clustered edge weight clus_edge of every problem edge
+	// (0 for an intra-cluster edge), retained because the critical-edge
+	// analysis compares Edge against it.
+	CEdge []int
+
+	view *graph.View
 }
 
 // Derive computes the ideal graph of problem p under clustering c
@@ -44,30 +52,32 @@ type Graph struct {
 //	i_start[i] = max over predecessors j of (i_end[j] + clus_edge[j][i])
 //	i_end[i]   = i_start[i] + task_size[i]
 //
-// Predecessors are found in the problem edge matrix, because intra-cluster
-// precedence edges are absent from clus_edge but still order execution
-// (§4.1's task-1/task-4 example).
+// Predecessors are every problem edge into i, not only the clustered ones,
+// because intra-cluster precedence edges have no clus_edge weight but still
+// order execution (§4.1's task-1/task-4 example). Derive walks the frozen
+// view's predecessor lists: O(np + edges) time and memory.
 func Derive(p *graph.Problem, c *graph.Clustering) (*Graph, error) {
 	if c.NumTasks() != p.NumTasks() {
 		return nil, fmt.Errorf("ideal: clustering covers %d tasks, problem has %d", c.NumTasks(), p.NumTasks())
 	}
-	order, err := p.TopoOrder()
+	v := p.View()
+	order, err := v.Order()
 	if err != nil {
 		return nil, err
 	}
 	n := p.NumTasks()
+	arcs := v.Arcs()
 	g := &Graph{
 		Start: make([]int, n),
 		End:   make([]int, n),
-		CEdge: graph.ClusteredEdges(p, c),
+		CEdge: graph.ClusteredWeights(v, c),
+		view:  v,
 	}
 	for _, i := range order {
 		start := 0
-		for j := 0; j < n; j++ {
-			if p.Edge[j][i] > 0 {
-				if t := g.End[j] + g.CEdge[j][i]; t > start {
-					start = t
-				}
+		for _, e := range v.In(i) {
+			if t := g.End[arcs[e].From] + g.CEdge[e]; t > start {
+				start = t
 			}
 		}
 		g.Start[i] = start
@@ -81,19 +91,31 @@ func Derive(p *graph.Problem, c *graph.Clustering) (*Graph, error) {
 			g.LatestTasks = append(g.LatestTasks, i)
 		}
 	}
-	g.Edge = make([][]int, n)
-	cells := make([]int, n*n)
-	for i := range g.Edge {
-		g.Edge[i], cells = cells[:n:n], cells[n:]
-	}
-	for j := 0; j < n; j++ {
-		for i := 0; i < n; i++ {
-			if g.CEdge[j][i] > 0 {
-				g.Edge[j][i] = g.Start[i] - g.End[j]
-			}
+	g.Edge = make([]int, len(arcs))
+	for e, a := range arcs {
+		if g.CEdge[e] > 0 {
+			g.Edge[e] = g.Start[a.To] - g.End[a.From]
 		}
 	}
 	return g, nil
+}
+
+// EdgeAt returns i_edge[j][i]: the ideal weight of problem edge j→i, 0 when
+// the edge is intra-cluster or absent.
+func (g *Graph) EdgeAt(j, i int) int {
+	if e := g.view.Find(j, i); e >= 0 {
+		return g.Edge[e]
+	}
+	return 0
+}
+
+// CEdgeAt returns clus_edge[j][i]: the clustered weight of problem edge
+// j→i, 0 when the edge is intra-cluster or absent.
+func (g *Graph) CEdgeAt(j, i int) int {
+	if e := g.view.Find(j, i); e >= 0 {
+		return g.CEdge[e]
+	}
+	return 0
 }
 
 // Slack returns the slack of clustered problem edge j→i in the ideal graph:
@@ -101,10 +123,11 @@ func Derive(p *graph.Problem, c *graph.Clustering) (*Graph, error) {
 // the precondition of Theorems 1 and 2 for criticality. Slack of an edge not
 // in the clustered graph is reported as -1.
 func (g *Graph) Slack(j, i int) int {
-	if g.CEdge[j][i] <= 0 {
+	e := g.view.Find(j, i)
+	if e < 0 || g.CEdge[e] <= 0 {
 		return -1
 	}
-	return g.Edge[j][i] - g.CEdge[j][i]
+	return g.Edge[e] - g.CEdge[e]
 }
 
 // IsLatest reports whether task i is a latest task.
@@ -120,6 +143,11 @@ func (g *Graph) Validate(p *graph.Problem) error {
 	if len(g.Start) != n || len(g.End) != n {
 		return fmt.Errorf("ideal: time vectors cover %d/%d tasks, want %d", len(g.Start), len(g.End), n)
 	}
+	v := p.View()
+	if len(g.Edge) != v.NumEdges() || len(g.CEdge) != v.NumEdges() {
+		return fmt.Errorf("ideal: edge vectors cover %d/%d edges, want %d", len(g.Edge), len(g.CEdge), v.NumEdges())
+	}
+	arcs := v.Arcs()
 	maxEnd := 0
 	for i := 0; i < n; i++ {
 		if g.End[i] != g.Start[i]+p.Size[i] {
@@ -128,15 +156,14 @@ func (g *Graph) Validate(p *graph.Problem) error {
 		if g.End[i] > maxEnd {
 			maxEnd = g.End[i]
 		}
-		for j := 0; j < n; j++ {
-			if p.Edge[j][i] > 0 {
-				if g.Start[i] < g.End[j]+g.CEdge[j][i] {
-					return fmt.Errorf("ideal: task %d starts at %d before predecessor %d delivers at %d",
-						i, g.Start[i], j, g.End[j]+g.CEdge[j][i])
-				}
+		for _, e := range v.In(i) {
+			j := arcs[e].From
+			if g.Start[i] < g.End[j]+g.CEdge[e] {
+				return fmt.Errorf("ideal: task %d starts at %d before predecessor %d delivers at %d",
+					i, g.Start[i], j, g.End[j]+g.CEdge[e])
 			}
-			if g.CEdge[j][i] > 0 && g.Edge[j][i] < g.CEdge[j][i] {
-				return fmt.Errorf("ideal: i_edge[%d][%d]=%d below clus_edge=%d", j, i, g.Edge[j][i], g.CEdge[j][i])
+			if g.CEdge[e] > 0 && g.Edge[e] < g.CEdge[e] {
+				return fmt.Errorf("ideal: i_edge[%d][%d]=%d below clus_edge=%d", j, i, g.Edge[e], g.CEdge[e])
 			}
 		}
 	}

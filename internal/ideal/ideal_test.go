@@ -75,16 +75,16 @@ func TestIdealEdgesRunningExample(t *testing.T) {
 		{5, 10, 1, 0},
 	}
 	for _, tc := range cases {
-		if g.Edge[tc.j][tc.i] != tc.weight {
-			t.Errorf("i_edge[%d][%d] = %d, want %d", tc.j, tc.i, g.Edge[tc.j][tc.i], tc.weight)
+		if g.EdgeAt(tc.j, tc.i) != tc.weight {
+			t.Errorf("i_edge[%d][%d] = %d, want %d", tc.j, tc.i, g.EdgeAt(tc.j, tc.i), tc.weight)
 		}
 		if got := g.Slack(tc.j, tc.i); got != tc.slack {
 			t.Errorf("Slack(%d,%d) = %d, want %d", tc.j, tc.i, got, tc.slack)
 		}
 	}
 	// Intra-cluster edge: not in the clustered graph.
-	if g.Edge[0][1] != 0 {
-		t.Errorf("intra-cluster ideal edge = %d, want 0", g.Edge[0][1])
+	if g.EdgeAt(0, 1) != 0 {
+		t.Errorf("intra-cluster ideal edge = %d, want 0", g.EdgeAt(0, 1))
 	}
 	if g.Slack(0, 1) != -1 {
 		t.Errorf("Slack of intra-cluster edge = %d, want -1", g.Slack(0, 1))

@@ -19,6 +19,7 @@ func (e *Evaluator) CheckResult(a *Assignment, res *Result) error {
 		return fmt.Errorf("schedule: result covers %d/%d tasks, want %d", len(res.Start), len(res.End), n)
 	}
 	maxEnd := 0
+	arcs := e.view.Arcs()
 	for i := 0; i < n; i++ {
 		if res.End[i] != res.Start[i]+e.Prob.Size[i] {
 			return fmt.Errorf("schedule: task %d end %d ≠ start %d + size %d",
@@ -28,9 +29,11 @@ func (e *Evaluator) CheckResult(a *Assignment, res *Result) error {
 			maxEnd = res.End[i]
 		}
 		ready := 0
-		for _, j := range e.preds[i] {
+		preds := e.view.In(i)
+		for _, id := range preds {
+			j := arcs[id].From
 			t := res.End[j]
-			if w := e.CEdge[j][i]; w > 0 {
+			if w := e.CEdge(id); w > 0 {
 				t += w * e.Dist.At(a.ProcOf[e.Clus.Of[j]], a.ProcOf[e.Clus.Of[i]])
 			}
 			if res.Start[i] < t {
@@ -41,11 +44,11 @@ func (e *Evaluator) CheckResult(a *Assignment, res *Result) error {
 				ready = t
 			}
 		}
-		if res.Start[i] != ready && len(e.preds[i]) > 0 {
+		if res.Start[i] != ready && len(preds) > 0 {
 			return fmt.Errorf("schedule: task %d idles from %d to %d (dataflow model starts immediately)",
 				ready, res.Start[i], i)
 		}
-		if len(e.preds[i]) == 0 && res.Start[i] != 0 {
+		if len(preds) == 0 && res.Start[i] != 0 {
 			return fmt.Errorf("schedule: source task %d starts at %d, want 0", i, res.Start[i])
 		}
 	}
@@ -136,23 +139,20 @@ func (s CommStats) Dilation() float64 {
 // AnalyzeComm computes the communication statistics of assignment a.
 func (e *Evaluator) AnalyzeComm(a *Assignment) CommStats {
 	var st CommStats
-	n := e.Prob.NumTasks()
-	for j := 0; j < n; j++ {
-		for i := 0; i < n; i++ {
-			w := e.CEdge[j][i]
-			if w == 0 {
-				continue
-			}
-			d := e.Dist.At(a.ProcOf[e.Clus.Of[j]], a.ProcOf[e.Clus.Of[i]])
-			st.Edges++
-			st.Volume += w * d
-			st.IdealVolume += w
-			if d == 1 {
-				st.Adjacent++
-			}
-			if d > st.MaxDistance {
-				st.MaxDistance = d
-			}
+	for id, arc := range e.view.Arcs() {
+		w := e.CEdge(id)
+		if w == 0 {
+			continue
+		}
+		d := e.Dist.At(a.ProcOf[e.Clus.Of[arc.From]], a.ProcOf[e.Clus.Of[arc.To]])
+		st.Edges++
+		st.Volume += w * d
+		st.IdealVolume += w
+		if d == 1 {
+			st.Adjacent++
+		}
+		if d > st.MaxDistance {
+			st.MaxDistance = d
 		}
 	}
 	return st

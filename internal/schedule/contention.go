@@ -26,8 +26,9 @@ func (e *Evaluator) EvaluateContended(a *Assignment) *Result {
 	ready := make([]int, n) // data-ready time, valid once unscheduledPreds==0
 	scheduled := make([]bool, n)
 	for i := 0; i < n; i++ {
-		unscheduledPreds[i] = len(e.preds[i])
+		unscheduledPreds[i] = e.view.InDegree(i)
 	}
+	arcs := e.view.Arcs()
 
 	for done := 0; done < n; done++ {
 		// Pick the schedulable task with the earliest feasible start:
@@ -57,12 +58,11 @@ func (e *Evaluator) EvaluateContended(a *Assignment) *Result {
 			res.TotalTime = res.End[i]
 		}
 		// Release successors.
-		for j := 0; j < n; j++ {
-			if e.Prob.Edge[i][j] == 0 {
-				continue
-			}
+		lo, hi := e.view.Out(i)
+		for id := lo; id < hi; id++ {
+			j := arcs[id].To
 			arrive := res.End[i]
-			if w := e.CEdge[i][j]; w > 0 {
+			if w := e.CEdge(id); w > 0 {
 				arrive += w * e.Dist.At(proc, a.ProcOf[e.Clus.Of[j]])
 			}
 			if arrive > ready[j] {

@@ -12,15 +12,19 @@
 //	end[i]   = start[i] + task_size[i]
 //	comm[j][i] = clus_edge[j][i] × shortest[proc(j)][proc(i)]
 //
-// Predecessor structure always comes from the problem edge matrix —
-// including intra-cluster precedences whose communication cost is zero.
+// The paper writes comm and clus_edge as np×np matrices; the evaluator
+// keeps neither. Predecessor structure comes from the problem's frozen
+// sparse view (graph.View) — every problem edge, including intra-cluster
+// precedences whose clustered weight, and so communication cost, is zero —
+// and a clustered weight is one value per edge (Evaluator.CEdge).
 //
 // # The hot path
 //
 // Evaluator.TotalTime is the cost function of the §4.3.3 refinement loop
 // and of every baseline searcher; the whole system's throughput is bounded
 // by how fast one trial assignment can be priced. An Evaluator therefore
-// precomputes a flattened, topologically renumbered predecessor CSR
+// packs the view's predecessor lists, in the view's topological order, into
+// a flattened, topologically renumbered predecessor CSR
 // (packed int32 edge records, weight 0 for intra-cluster precedences so
 // the loop stays branch-free) and a transposed flat distance matrix at
 // construction, and owns a reusable scratch arena so TotalTime and

@@ -70,22 +70,19 @@ func (e *Evaluator) EvaluateLinkContended(a *Assignment, routes *paths.Routes) *
 	remaining := make([]int, n) // undelivered predecessor contributions
 	ready := make([]int, n)     // max contribution seen so far
 	started := make([]bool, n)
-	for j := 0; j < n; j++ {
-		for i := 0; i < n; i++ {
-			if e.Prob.Edge[j][i] == 0 {
-				continue
-			}
-			remaining[i]++
-			w := e.CEdge[j][i]
-			pj := a.ProcOf[e.Clus.Of[j]]
-			pi := a.ProcOf[e.Clus.Of[i]]
-			if w == 0 || pj == pi {
-				continue // local: resolved when j finishes
-			}
-			m := &linkMsg{id: len(msgs), src: j, dst: i, w: w, links: routes.Links(pj, pi)}
-			msgs = append(msgs, m)
-			msgsOf[j] = append(msgsOf[j], m)
+	arcs := e.view.Arcs()
+	for id, arc := range arcs {
+		j, i := arc.From, arc.To
+		remaining[i]++
+		w := e.CEdge(id)
+		pj := a.ProcOf[e.Clus.Of[j]]
+		pi := a.ProcOf[e.Clus.Of[i]]
+		if w == 0 || pj == pi {
+			continue // local: resolved when j finishes
 		}
+		m := &linkMsg{id: len(msgs), src: j, dst: i, w: w, links: routes.Links(pj, pi)}
+		msgs = append(msgs, m)
+		msgsOf[j] = append(msgsOf[j], m)
 	}
 
 	linkFree := map[int]int{}
@@ -120,11 +117,10 @@ func (e *Evaluator) EvaluateLinkContended(a *Assignment, routes *paths.Routes) *
 			heap.Push(&queue, linkEvent{time: res.End[i], id: m.id, hop: 0})
 		}
 		// Resolve local successors.
-		for s := 0; s < n; s++ {
-			if e.Prob.Edge[i][s] == 0 {
-				continue
-			}
-			w := e.CEdge[i][s]
+		lo, hi := e.view.Out(i)
+		for id := lo; id < hi; id++ {
+			s := arcs[id].To
+			w := e.CEdge(id)
 			if w == 0 || a.ProcOf[e.Clus.Of[i]] == a.ProcOf[e.Clus.Of[s]] {
 				contribute(s, res.End[i])
 			}

@@ -105,10 +105,10 @@ type Result struct {
 }
 
 // Evaluator computes total time for assignments of one (problem, clustering,
-// system) triple. It precomputes the clustered edge matrix, per-task
-// predecessor lists, and a flattened topologically renumbered predecessor
-// structure, so repeated evaluation during refinement performs no per-call
-// allocation.
+// system) triple. It packs the problem's frozen view (graph.View) into a
+// flattened, topologically renumbered predecessor structure carrying the
+// clustered edge weights, so repeated evaluation during refinement performs
+// no per-call allocation; building one costs O(np + edges + ns²).
 //
 // An Evaluator owns a scratch arena reused by TotalTime and EvaluateInto
 // and is therefore NOT safe for concurrent use. Concurrent callers — the
@@ -116,13 +116,12 @@ type Result struct {
 // through their own handle obtained with Fork, which shares the read-only
 // precomputation and allocates only a fresh arena.
 type Evaluator struct {
-	Prob  *graph.Problem
-	Clus  *graph.Clustering
-	Dist  *paths.Table
-	CEdge [][]int // clustered edge matrix clus_edge
+	Prob *graph.Problem
+	Clus *graph.Clustering
+	Dist *paths.Table
 
-	order []int   // topological order of the task DAG
-	preds [][]int // preds[i]: predecessor tasks of i (problem edges)
+	view  *graph.View // Prob's frozen sparse view
+	order []int       // topological order of the task DAG, shared with view
 
 	// Hot-path precomputation, read-only after construction and shared by
 	// every Fork. Tasks are renumbered by topological position t (the task
@@ -162,8 +161,9 @@ type commEdge struct {
 }
 
 // NewEvaluator builds an evaluator. The problem graph must be acyclic (it
-// panics otherwise — validate inputs first) and the clustering must cover
-// exactly the problem's tasks with K == dist.NumNodes().
+// returns graph.ErrCyclic otherwise — validate inputs first) and the
+// clustering must cover exactly the problem's tasks with K ==
+// dist.NumNodes().
 func NewEvaluator(p *graph.Problem, c *graph.Clustering, dist *paths.Table) (*Evaluator, error) {
 	if c.NumTasks() != p.NumTasks() {
 		return nil, fmt.Errorf("schedule: clustering covers %d tasks, problem has %d", c.NumTasks(), p.NumTasks())
@@ -171,18 +171,10 @@ func NewEvaluator(p *graph.Problem, c *graph.Clustering, dist *paths.Table) (*Ev
 	if c.K != dist.NumNodes() {
 		return nil, fmt.Errorf("schedule: %d clusters but %d processors", c.K, dist.NumNodes())
 	}
-	order, err := p.TopoOrder()
+	v := p.View()
+	order, err := v.Order()
 	if err != nil {
 		return nil, err
-	}
-	n := p.NumTasks()
-	e := &Evaluator{
-		Prob:  p,
-		Clus:  c,
-		Dist:  dist,
-		CEdge: graph.ClusteredEdges(p, c),
-		order: order,
-		preds: make([][]int, n),
 	}
 	// The packed evaluation structures hold sizes and clustered weights as
 	// int32; reject inputs that would silently truncate (Validate only
@@ -192,23 +184,44 @@ func NewEvaluator(p *graph.Problem, c *graph.Clustering, dist *paths.Table) (*Ev
 			return nil, fmt.Errorf("schedule: task %d size %d exceeds the evaluator's %d limit", i, size, math.MaxInt32)
 		}
 	}
-	for j := range e.CEdge {
-		for i, w := range e.CEdge[j] {
-			if w > math.MaxInt32 {
-				return nil, fmt.Errorf("schedule: clustered edge %d→%d weight %d exceeds the evaluator's %d limit", j, i, w, math.MaxInt32)
-			}
+	for _, a := range v.Arcs() {
+		if w := c.CommWeight(a); w > math.MaxInt32 {
+			return nil, fmt.Errorf("schedule: clustered edge %d→%d weight %d exceeds the evaluator's %d limit", a.From, a.To, w, math.MaxInt32)
 		}
 	}
-	for i := 0; i < n; i++ {
-		e.preds[i] = p.Preds(i)
+	e := &Evaluator{
+		Prob:  p,
+		Clus:  c,
+		Dist:  dist,
+		view:  v,
+		order: order,
 	}
 	e.precompute()
 	return e, nil
 }
 
+// View returns the frozen problem view the evaluator was built from. Its
+// edge IDs index CEdge.
+func (e *Evaluator) View() *graph.View { return e.view }
+
+// CEdge returns the clustered weight clus_edge of the problem edge with the
+// given ID (see graph.View): its problem weight when it joins two clusters,
+// 0 when it stays inside one.
+func (e *Evaluator) CEdge(id int) int { return e.Clus.CommWeight(e.view.Arcs()[id]) }
+
+// CEdgeAt returns clus_edge[j][i], the clustered weight of problem edge
+// j→i: 0 when the edge is intra-cluster or absent.
+func (e *Evaluator) CEdgeAt(j, i int) int {
+	if id := e.view.Find(j, i); id >= 0 {
+		return e.CEdge(id)
+	}
+	return 0
+}
+
 // precompute flattens the evaluation state: the transposed distance matrix
 // and the predecessor CSR split into communication-free and communicating
-// edges, both indexed by topological position.
+// edges, both indexed by topological position. The records are packed
+// straight from the view's predecessor lists (sources ascending).
 func (e *Evaluator) precompute() {
 	n := e.Prob.NumTasks()
 	ns := e.Dist.NumNodes()
@@ -229,13 +242,15 @@ func (e *Evaluator) precompute() {
 	for t, i := range e.order {
 		e.size[t] = int32(e.Prob.Size[i])
 		e.clusOf[t] = int32(e.Clus.Of[i])
-		e.commOff[t+1] = e.commOff[t] + int32(len(e.preds[i]))
+		e.commOff[t+1] = e.commOff[t] + int32(e.view.InDegree(i))
 	}
+	arcs := e.view.Arcs()
 	e.commEdges = make([]commEdge, e.commOff[n])
 	q := 0
 	for _, i := range e.order {
-		for _, j := range e.preds[i] {
-			e.commEdges[q] = commEdge{pred: pos[j], clus: int32(e.Clus.Of[j]), w: int32(e.CEdge[j][i])}
+		for _, id := range e.view.In(i) {
+			a := arcs[id]
+			e.commEdges[q] = commEdge{pred: pos[a.From], clus: int32(e.Clus.Of[a.From]), w: int32(e.Clus.CommWeight(a))}
 			q++
 		}
 	}
@@ -330,7 +345,8 @@ func (e *Evaluator) Fork() *Evaluator {
 
 // CommMatrix returns the communication matrix comm[np][np] under assignment
 // a: comm[j][i] = clus_edge[j][i] × shortest[proc(j)][proc(i)] (Algorithm I
-// of §4.3.4). Intra-cluster entries are zero.
+// of §4.3.4). Intra-cluster entries are zero. It materialises the paper's
+// dense matrix for inspection; evaluation never builds it.
 func (e *Evaluator) CommMatrix(a *Assignment) [][]int {
 	n := e.Prob.NumTasks()
 	comm := make([][]int, n)
@@ -338,12 +354,9 @@ func (e *Evaluator) CommMatrix(a *Assignment) [][]int {
 	for i := range comm {
 		comm[i], cells = cells[:n:n], cells[n:]
 	}
-	for j := 0; j < n; j++ {
-		pj := a.ProcOf[e.Clus.Of[j]]
-		for i := 0; i < n; i++ {
-			if w := e.CEdge[j][i]; w > 0 {
-				comm[j][i] = w * e.Dist.At(pj, a.ProcOf[e.Clus.Of[i]])
-			}
+	for id, arc := range e.view.Arcs() {
+		if w := e.CEdge(id); w > 0 {
+			comm[arc.From][arc.To] = w * e.Dist.At(a.ProcOf[e.Clus.Of[arc.From]], a.ProcOf[e.Clus.Of[arc.To]])
 		}
 	}
 	return comm
@@ -483,7 +496,7 @@ func RandSwapPair(rng *rand.Rand, k int) (i, j int) {
 // directly linked processors (distance exactly 1). Intra-cluster edges do
 // not count. Used by the §2.2 counterexample and the cardinality baseline,
 // whose pairwise-exchange ascent hammers it; walking the edge CSR instead
-// of the n×n clustered matrix makes each call O(edges), allocation-free.
+// of a dense clustered matrix makes each call O(edges), allocation-free.
 func (e *Evaluator) Cardinality(a *Assignment) int {
 	card := 0
 	procOf := a.ProcOf

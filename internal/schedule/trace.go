@@ -26,26 +26,24 @@ type Message struct {
 // destination task ID). Intra-processor precedences carry no message.
 func (e *Evaluator) Trace(a *Assignment, res *Result) []Message {
 	var msgs []Message
-	n := e.Prob.NumTasks()
-	for j := 0; j < n; j++ {
-		for i := 0; i < n; i++ {
-			w := e.CEdge[j][i]
-			if w == 0 {
-				continue
-			}
-			pj := a.ProcOf[e.Clus.Of[j]]
-			pi := a.ProcOf[e.Clus.Of[i]]
-			if pj == pi {
-				continue
-			}
-			d := e.Dist.At(pj, pi)
-			msgs = append(msgs, Message{
-				Src: j, Dst: i, Weight: w,
-				FromProc: pj, ToProc: pi, Distance: d,
-				Departure: res.End[j],
-				Arrival:   res.End[j] + w*d,
-			})
+	for id, arc := range e.view.Arcs() {
+		w := e.CEdge(id)
+		if w == 0 {
+			continue
 		}
+		j, i := arc.From, arc.To
+		pj := a.ProcOf[e.Clus.Of[j]]
+		pi := a.ProcOf[e.Clus.Of[i]]
+		if pj == pi {
+			continue
+		}
+		d := e.Dist.At(pj, pi)
+		msgs = append(msgs, Message{
+			Src: j, Dst: i, Weight: w,
+			FromProc: pj, ToProc: pi, Distance: d,
+			Departure: res.End[j],
+			Arrival:   res.End[j] + w*d,
+		})
 	}
 	sort.Slice(msgs, func(x, y int) bool {
 		if msgs[x].Departure != msgs[y].Departure {

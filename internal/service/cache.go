@@ -55,6 +55,19 @@ func (c *lruCache[V]) Get(key string) (V, bool) {
 	return zero, false
 }
 
+// Peek returns the cached value without counting a hit or a miss and
+// without refreshing its recency: a second look by a caller whose first
+// Get already counted the lookup.
+func (c *lruCache[V]) Peek(key string) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[key]; ok {
+		return el.Value.(*lruEntry[V]).val, true
+	}
+	var zero V
+	return zero, false
+}
+
 // Put inserts or refreshes key, evicting the least recently used entry when
 // the cache is full.
 func (c *lruCache[V]) Put(key string, v V) {

@@ -82,3 +82,24 @@ func TestLRUMinimumCapacity(t *testing.T) {
 		t.Fatal("most recent entry missing")
 	}
 }
+
+// TestLRUPeekDoesNotCount pins that Peek reads without touching the
+// counters or the recency order.
+func TestLRUPeekDoesNotCount(t *testing.T) {
+	c := newLRU[int](2)
+	c.Put("a", 1)
+	c.Put("b", 2)
+	if v, ok := c.Peek("a"); !ok || v != 1 {
+		t.Fatalf("Peek(a) = %d, %v", v, ok)
+	}
+	if _, ok := c.Peek("nope"); ok {
+		t.Fatal("Peek found an absent key")
+	}
+	if hits, misses, _ := c.Counters(); hits != 0 || misses != 0 {
+		t.Fatalf("Peek counted: hits=%d misses=%d", hits, misses)
+	}
+	c.Put("c", 3) // "a" is still the oldest: Peek did not refresh it
+	if _, ok := c.Peek("a"); ok {
+		t.Fatal("Peek refreshed recency")
+	}
+}

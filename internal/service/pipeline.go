@@ -275,10 +275,11 @@ func (st *solveState) cacheLookup(ctx context.Context) error {
 // harness asserts; instead the raced fill is served as a plain hit and
 // the just-created call is completed immediately, so any followers that
 // joined it share the cached response rather than waiting on a
-// re-execution.
+// re-execution. The re-probe is a Peek: cacheLookup's Get already counted
+// this request's lookup, and counting it again made every miss count twice.
 func (st *solveState) lead(call *flightCall) error {
 	s := st.solver
-	if resp, ok := s.results.Get(st.key); ok {
+	if resp, ok := s.results.Peek(st.key); ok {
 		s.flight.complete(st.key, call, resp, nil, false)
 		st.resp = resp.cachedCopy(s.now().Sub(st.began))
 		st.done = true

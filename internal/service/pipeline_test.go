@@ -573,3 +573,16 @@ func TestCancelledLeaderNotCached(t *testing.T) {
 		t.Fatalf("clean solve did not cache (%d entries)", got)
 	}
 }
+
+// TestColdSolveCountsOneMiss pins that a cold solve counts exactly one
+// response-cache miss: the leader's re-probe must not count again.
+func TestColdSolveCountsOneMiss(t *testing.T) {
+	var s Solver
+	req := &Request{Problem: testProblem(t), Topology: "mesh-2x3", Clusterer: "blocks", Seed: 9}
+	if _, err := s.Solve(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.ResultMisses != 1 || st.ResultHits != 0 {
+		t.Fatalf("cold solve counted %d misses and %d hits, want 1 and 0", st.ResultMisses, st.ResultHits)
+	}
+}

@@ -96,7 +96,7 @@ type (
 	// total time, and the latest tasks.
 	Schedule = schedule.Result
 	// IdealGraph carries the closure-mapped start/end times, the ideal
-	// edge matrix and the lower bound.
+	// edge weights (one per problem edge) and the lower bound.
 	IdealGraph = ideal.Graph
 	// CriticalAnalysis holds critical problem edges, critical abstract
 	// edges and per-cluster critical degrees.
