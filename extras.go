@@ -62,11 +62,12 @@ func MinCommCost(e *Evaluator, restarts int, rng *rand.Rand) (*Assignment, int) 
 }
 
 // CommPhases groups the clustered problem edges by source topological
-// level — the phase structure of the Lee-style cost measure.
-func CommPhases(e *Evaluator) [][][2]int { return baseline.Phases(e) }
+// level — the phase structure of the Lee-style cost measure. Each phase
+// lists edge IDs; e.View().Arcs() gives their endpoints.
+func CommPhases(e *Evaluator) [][]int { return baseline.Phases(e) }
 
 // CommCost returns the phased communication cost of an assignment.
-func CommCost(e *Evaluator, phases [][][2]int, a *Assignment) int {
+func CommCost(e *Evaluator, phases [][]int, a *Assignment) int {
 	return baseline.CommCost(e, phases, a)
 }
 

@@ -20,9 +20,11 @@ import (
 // miss the time-optimal assignment.
 
 // Phases groups the clustered problem edges of e by the topological level of
-// their source task. Phases()[l] lists the (src,dst) pairs of level l.
-// Intra-cluster edges carry no communication and are excluded.
-func Phases(e *schedule.Evaluator) [][][2]int {
+// their source task. Phases()[l] lists the IDs (see graph.View, and
+// e.View().Arcs() for the endpoints) of the level-l edges, in ascending
+// (src,dst) order. Intra-cluster edges carry no communication and are
+// excluded.
+func Phases(e *schedule.Evaluator) [][]int {
 	v := e.View()
 	arcs := v.Arcs()
 	level := make([]int, v.NumTasks())
@@ -41,10 +43,10 @@ func Phases(e *schedule.Evaluator) [][][2]int {
 			maxLevel = level[i]
 		}
 	}
-	phases := make([][][2]int, maxLevel+1)
+	phases := make([][]int, maxLevel+1)
 	for id, arc := range arcs {
 		if e.CEdge(id) > 0 {
-			phases[level[arc.From]] = append(phases[level[arc.From]], [2]int{arc.From, arc.To})
+			phases[level[arc.From]] = append(phases[level[arc.From]], id)
 		}
 	}
 	// Drop trailing empty phases (the last level's tasks send nothing).
@@ -56,14 +58,15 @@ func Phases(e *schedule.Evaluator) [][][2]int {
 
 // CommCost returns the Lee-style phased communication cost of assignment a:
 // the sum over phases of the maximum weight×distance in each phase.
-func CommCost(e *schedule.Evaluator, phases [][][2]int, a *schedule.Assignment) int {
+func CommCost(e *schedule.Evaluator, phases [][]int, a *schedule.Assignment) int {
+	arcs := e.View().Arcs()
 	total := 0
 	for _, phase := range phases {
 		maxCost := 0
-		for _, edge := range phase {
-			j, i := edge[0], edge[1]
-			d := e.Dist.At(a.ProcOf[e.Clus.Of[j]], a.ProcOf[e.Clus.Of[i]])
-			if c := e.CEdgeAt(j, i) * d; c > maxCost {
+		for _, id := range phase {
+			arc := arcs[id]
+			d := e.Dist.At(a.ProcOf[e.Clus.Of[arc.From]], a.ProcOf[e.Clus.Of[arc.To]])
+			if c := e.CEdge(id) * d; c > maxCost {
 				maxCost = c
 			}
 		}

@@ -60,7 +60,7 @@ type Analysis struct {
 	Mode Propagation
 	// ProbEdge is crit_edge in sparse form, indexed by edge ID: ProbEdge[e]
 	// is the clustered weight of critical edge e, 0 if the edge is not
-	// critical. ProbEdgeAt looks an edge up by its endpoints.
+	// critical.
 	ProbEdge []int
 	// AbsEdge is the K×K critical abstract edge matrix c_abs_edge (symmetric,
 	// without the paper's extra degree column): AbsEdge[k][l] is the summed
@@ -73,8 +73,6 @@ type Analysis struct {
 	// OnCriticalPath[i] reports that delaying the start of task i delays
 	// the total time — task i was reached by the backward walk.
 	OnCriticalPath []bool
-
-	view *graph.View
 }
 
 // Analyze computes the critical problem edges, critical abstract edges and
@@ -90,7 +88,6 @@ func Analyze(p *graph.Problem, c *graph.Clustering, g *ideal.Graph, mode Propaga
 		AbsEdge:        newMatrix(c.K),
 		Degree:         make([]int, c.K),
 		OnCriticalPath: make([]bool, n),
-		view:           v,
 	}
 
 	// Backward walk from the latest tasks (§4.2 Algorithm I). The visited
@@ -152,15 +149,6 @@ func Analyze(p *graph.Problem, c *graph.Clustering, g *ideal.Graph, mode Propaga
 		}
 	}
 	return a
-}
-
-// ProbEdgeAt returns crit_edge[j][i]: the clustered weight of problem edge
-// j→i when it is critical, else 0.
-func (a *Analysis) ProbEdgeAt(j, i int) int {
-	if e := a.view.Find(j, i); e >= 0 {
-		return a.ProbEdge[e]
-	}
-	return 0
 }
 
 // HasCriticalEdges reports whether any critical problem edge exists. A

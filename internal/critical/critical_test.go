@@ -40,19 +40,28 @@ func analyze(t *testing.T, mode Propagation) (*graph.Problem, *graph.Clustering,
 	return p, c, Analyze(p, c, g, mode)
 }
 
+// at returns the entry of the per-edge slice w for problem edge j→i — the
+// paper's matrix cell [j][i] — or 0 when p has no such edge.
+func at(p *graph.Problem, w []int, j, i int) int {
+	if e := p.View().Find(j, i); e >= 0 {
+		return w[e]
+	}
+	return 0
+}
+
 func TestPaperModeRunningExample(t *testing.T) {
-	_, _, a := analyze(t, Paper)
+	p, _, a := analyze(t, Paper)
 	// Paper-mode walk: latest task 9; its only clustered predecessor edge
 	// 8→9 is tight → critical. Task 8's predecessors are intra-cluster, so
 	// the walk stops there.
-	if a.ProbEdgeAt(8, 9) != 3 {
-		t.Fatalf("edge 8→9 weight = %d, want 3", a.ProbEdgeAt(8, 9))
+	if got := at(p, a.ProbEdge, 8, 9); got != 3 {
+		t.Fatalf("edge 8→9 weight = %d, want 3", got)
 	}
 	if n := a.NumCriticalProbEdges(); n != 1 {
 		t.Fatalf("critical edges = %d, want 1", n)
 	}
 	// Tight-but-not-on-critical-path edge 5→10 must NOT be critical.
-	if a.ProbEdgeAt(5, 10) != 0 {
+	if at(p, a.ProbEdge, 5, 10) != 0 {
 		t.Fatal("edge 5→10 wrongly critical (task 10 is not latest)")
 	}
 	if got := a.Degree; !reflect.DeepEqual(got, []int{0, 0, 3, 3}) {
@@ -73,20 +82,20 @@ func TestPaperModeRunningExample(t *testing.T) {
 }
 
 func TestFullModeRunningExample(t *testing.T) {
-	_, _, a := analyze(t, Full)
+	p, _, a := analyze(t, Full)
 	// Full mode crosses the intra-cluster chains: the whole spine
 	// 2→3 (A→B), 5→6 (B→C), 8→9 (C→D) becomes critical.
 	want := map[[2]int]int{{2, 3}: 2, {5, 6}: 2, {8, 9}: 3}
 	for e, w := range want {
-		if a.ProbEdgeAt(e[0], e[1]) != w {
-			t.Errorf("edge %d→%d = %d, want %d", e[0], e[1], a.ProbEdgeAt(e[0], e[1]), w)
+		if got := at(p, a.ProbEdge, e[0], e[1]); got != w {
+			t.Errorf("edge %d→%d = %d, want %d", e[0], e[1], got, w)
 		}
 	}
 	if n := a.NumCriticalProbEdges(); n != 3 {
 		t.Fatalf("critical edges = %d, want 3", n)
 	}
 	// 5→10 is tight but leads only to a non-latest task: still not critical.
-	if a.ProbEdgeAt(5, 10) != 0 {
+	if at(p, a.ProbEdge, 5, 10) != 0 {
 		t.Fatal("edge 5→10 wrongly critical in full mode")
 	}
 	if got := a.Degree; !reflect.DeepEqual(got, []int{2, 4, 5, 3}) {
@@ -143,7 +152,7 @@ func TestMultipleLatestTasks(t *testing.T) {
 		t.Fatalf("latest tasks = %v, want two", g.LatestTasks)
 	}
 	a := Analyze(p, c, g, Paper)
-	if a.ProbEdgeAt(0, 1) != 2 || a.ProbEdgeAt(2, 3) != 2 {
+	if at(p, a.ProbEdge, 0, 1) != 2 || at(p, a.ProbEdge, 2, 3) != 2 {
 		t.Fatal("both chains should be critical")
 	}
 	if got := a.Degree; !reflect.DeepEqual(got, []int{2, 2, 2, 2}) {
@@ -178,7 +187,7 @@ func TestLongestCriticalChainRunningExample(t *testing.T) {
 	for i, task := range chain {
 		total += p.Size[task]
 		if i+1 < len(chain) {
-			total += g.CEdgeAt(task, chain[i+1])
+			total += at(p, g.CEdge, task, chain[i+1])
 		}
 	}
 	if total != g.LowerBound {
@@ -214,10 +223,10 @@ func TestLongestCriticalChainProperty(t *testing.T) {
 				if p.Edge[task][next] == 0 {
 					return false
 				}
-				if g.Start[next] != g.End[task]+g.CEdgeAt(task, next) {
+				if g.Start[next] != g.End[task]+at(p, g.CEdge, task, next) {
 					return false
 				}
-				total += g.CEdgeAt(task, next)
+				total += at(p, g.CEdge, task, next)
 			}
 		}
 		return total == g.LowerBound
@@ -268,7 +277,7 @@ func TestCriticalEdgesAreDefinitionallyCritical(t *testing.T) {
 			a := Analyze(p, c, g, mode)
 			for j := 0; j < p.NumTasks(); j++ {
 				for i := 0; i < p.NumTasks(); i++ {
-					if a.ProbEdgeAt(j, i) == 0 {
+					if at(p, a.ProbEdge, j, i) == 0 {
 						continue
 					}
 					// Bump the problem edge weight (the clustered weight
@@ -305,7 +314,7 @@ func TestFullModeIsComplete(t *testing.T) {
 		a := Analyze(p, c, g, Full)
 		for j := 0; j < p.NumTasks(); j++ {
 			for i := 0; i < p.NumTasks(); i++ {
-				if g.CEdgeAt(j, i) == 0 {
+				if at(p, g.CEdge, j, i) == 0 {
 					continue
 				}
 				q := p.Clone()
@@ -315,7 +324,7 @@ func TestFullModeIsComplete(t *testing.T) {
 					return false
 				}
 				definitional := g2.LowerBound > g.LowerBound
-				marked := a.ProbEdgeAt(j, i) > 0
+				marked := at(p, a.ProbEdge, j, i) > 0
 				if definitional != marked {
 					return false
 				}
@@ -342,7 +351,7 @@ func TestPaperSubsetOfFull(t *testing.T) {
 		full := Analyze(p, c, g, Full)
 		for j := 0; j < p.NumTasks(); j++ {
 			for i := 0; i < p.NumTasks(); i++ {
-				if paper.ProbEdgeAt(j, i) > 0 && full.ProbEdgeAt(j, i) == 0 {
+				if at(p, paper.ProbEdge, j, i) > 0 && at(p, full.ProbEdge, j, i) == 0 {
 					return false
 				}
 			}
@@ -372,7 +381,7 @@ func TestAbstractFoldingConsistent(t *testing.T) {
 		}
 		for j := 0; j < p.NumTasks(); j++ {
 			for i := 0; i < p.NumTasks(); i++ {
-				if w := a.ProbEdgeAt(j, i); w > 0 {
+				if w := at(p, a.ProbEdge, j, i); w > 0 {
 					want[c.Of[j]][c.Of[i]] += w
 					want[c.Of[i]][c.Of[j]] += w
 				}

@@ -157,10 +157,11 @@ func CommCostReport() (string, error) {
 	fmt.Fprintf(&b, "=== %s ===\n%s\n\n", ex.Name, ex.Notes)
 	fmt.Fprintf(&b, "lower bound (ideal graph): %d\n", ig.LowerBound)
 	fmt.Fprintf(&b, "communication phases (level-grouped, Fig. 15 analogue):\n")
+	arcs := e.View().Arcs()
 	for i, phase := range phases {
 		fmt.Fprintf(&b, "  phase %d:", i+1)
-		for _, edge := range phase {
-			fmt.Fprintf(&b, " (%d,%d)=%d", edge[0], edge[1], e.CEdgeAt(edge[0], edge[1]))
+		for _, id := range phase {
+			fmt.Fprintf(&b, " (%d,%d)=%d", arcs[id].From, arcs[id].To, e.CEdge(id))
 		}
 		b.WriteByte('\n')
 	}

@@ -32,8 +32,9 @@ import (
 // parsers, generators) happens strictly before any fingerprint use.
 //
 // For a Problem the freeze point also builds its sparse View (view.go),
-// which Fingerprint hashes; Validate, TopoOrder and View freeze it too, and
-// SetEdge on a frozen problem panics.
+// which Fingerprint hashes; Validate, TopoOrder, View and the whole-graph
+// queries listed on Problem freeze it too, and SetEdge on a frozen problem
+// panics.
 
 // Fingerprint is a 256-bit content address of a graph structure.
 type Fingerprint [32]byte

@@ -25,8 +25,11 @@ import (
 //
 // Edge is the input form that parsers, generators and Diff read and write.
 // Everything that runs per solve reads the frozen sparse View instead,
-// built on first use (Validate, TopoOrder, Fingerprint, View); after that
-// freeze point the problem must not change, and SetEdge panics.
+// built on first use by Validate, TopoOrder, Fingerprint, View or one of
+// the whole-graph queries (NumEdges, TotalComm, Sources, Sinks,
+// CriticalPathLength, EdgeList). After that freeze point the problem must
+// not change: SetEdge panics, and direct writes to Edge are not seen.
+// Preds, Succs, InDegree and OutDegree scan Edge and never freeze.
 //
 // The zero value is an empty graph with no tasks; use NewProblem to allocate
 // a graph of a given size.
@@ -75,16 +78,6 @@ func (p *Problem) View() *View {
 	return v
 }
 
-// frozen returns the view when the problem is frozen and well shaped, nil
-// otherwise. Degree queries use it to avoid both a dense scan and freezing
-// a problem that is still under construction.
-func (p *Problem) frozen() *View {
-	if v := p.view.Load(); v != nil && v.square {
-		return v
-	}
-	return nil
-}
-
 // NumTasks returns np, the number of tasks.
 func (p *Problem) NumTasks() int { return len(p.Size) }
 
@@ -106,14 +99,11 @@ func (p *Problem) HasEdge(i, j int) bool { return p.Edge[i][j] > 0 }
 func (p *Problem) NumEdges() int { return p.View().NumEdges() }
 
 // Preds returns the predecessor task IDs of task i in ascending order.
+// Like Succs, InDegree and OutDegree it scans the dense matrix and does not
+// freeze the problem, so generators can call it mid-construction; on a
+// frozen problem, View().In and View().Out answer without the scan.
 func (p *Problem) Preds(i int) []int {
 	var preds []int
-	if v := p.frozen(); v != nil {
-		for _, e := range v.In(i) {
-			preds = append(preds, v.arcs[e].From)
-		}
-		return preds
-	}
 	for j := range p.Edge {
 		if p.Edge[j][i] > 0 {
 			preds = append(preds, j)
@@ -125,13 +115,6 @@ func (p *Problem) Preds(i int) []int {
 // Succs returns the successor task IDs of task i in ascending order.
 func (p *Problem) Succs(i int) []int {
 	var succs []int
-	if v := p.frozen(); v != nil {
-		lo, hi := v.Out(i)
-		for _, a := range v.arcs[lo:hi] {
-			succs = append(succs, a.To)
-		}
-		return succs
-	}
 	for j := range p.Edge[i] {
 		if p.Edge[i][j] > 0 {
 			succs = append(succs, j)
@@ -140,13 +123,8 @@ func (p *Problem) Succs(i int) []int {
 	return succs
 }
 
-// InDegree returns the number of predecessors of task i. On a problem that
-// is not yet frozen — generators call it mid-construction — it scans the
-// dense column and leaves the problem unfrozen.
+// InDegree returns the number of predecessors of task i.
 func (p *Problem) InDegree(i int) int {
-	if v := p.frozen(); v != nil {
-		return v.InDegree(i)
-	}
 	n := 0
 	for j := range p.Edge {
 		if p.Edge[j][i] > 0 {
@@ -156,12 +134,8 @@ func (p *Problem) InDegree(i int) int {
 	return n
 }
 
-// OutDegree returns the number of successors of task i. Like InDegree it
-// scans the dense row of a problem that is not yet frozen.
+// OutDegree returns the number of successors of task i.
 func (p *Problem) OutDegree(i int) int {
-	if v := p.frozen(); v != nil {
-		return v.OutDegree(i)
-	}
 	n := 0
 	for j := range p.Edge[i] {
 		if p.Edge[i][j] > 0 {

@@ -18,7 +18,7 @@ import (
 
 // Graph is the derived ideal graph Gi. Edge data is sparse: Edge and CEdge
 // hold one entry per problem edge, indexed by edge ID of the problem's
-// graph.View; EdgeAt, CEdgeAt and Slack look an edge up by its endpoints.
+// graph.View; Slack looks an edge up by its endpoints.
 type Graph struct {
 	// Start and End are the ideal start/end time of every task
 	// (matrices i_start and i_end of the paper).
@@ -98,24 +98,6 @@ func Derive(p *graph.Problem, c *graph.Clustering) (*Graph, error) {
 		}
 	}
 	return g, nil
-}
-
-// EdgeAt returns i_edge[j][i]: the ideal weight of problem edge j→i, 0 when
-// the edge is intra-cluster or absent.
-func (g *Graph) EdgeAt(j, i int) int {
-	if e := g.view.Find(j, i); e >= 0 {
-		return g.Edge[e]
-	}
-	return 0
-}
-
-// CEdgeAt returns clus_edge[j][i]: the clustered weight of problem edge
-// j→i, 0 when the edge is intra-cluster or absent.
-func (g *Graph) CEdgeAt(j, i int) int {
-	if e := g.view.Find(j, i); e >= 0 {
-		return g.CEdge[e]
-	}
-	return 0
 }
 
 // Slack returns the slack of clustered problem edge j→i in the ideal graph:

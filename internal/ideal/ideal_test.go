@@ -74,17 +74,18 @@ func TestIdealEdgesRunningExample(t *testing.T) {
 		{2, 10, 7, 6},
 		{5, 10, 1, 0},
 	}
+	v := p.View()
 	for _, tc := range cases {
-		if g.EdgeAt(tc.j, tc.i) != tc.weight {
-			t.Errorf("i_edge[%d][%d] = %d, want %d", tc.j, tc.i, g.EdgeAt(tc.j, tc.i), tc.weight)
+		if got := g.Edge[v.Find(tc.j, tc.i)]; got != tc.weight {
+			t.Errorf("i_edge[%d][%d] = %d, want %d", tc.j, tc.i, got, tc.weight)
 		}
 		if got := g.Slack(tc.j, tc.i); got != tc.slack {
 			t.Errorf("Slack(%d,%d) = %d, want %d", tc.j, tc.i, got, tc.slack)
 		}
 	}
 	// Intra-cluster edge: not in the clustered graph.
-	if g.EdgeAt(0, 1) != 0 {
-		t.Errorf("intra-cluster ideal edge = %d, want 0", g.EdgeAt(0, 1))
+	if got := g.Edge[v.Find(0, 1)]; got != 0 {
+		t.Errorf("intra-cluster ideal edge = %d, want 0", got)
 	}
 	if g.Slack(0, 1) != -1 {
 		t.Errorf("Slack of intra-cluster edge = %d, want -1", g.Slack(0, 1))

@@ -74,7 +74,7 @@ func TestContendedScheduleValidProperty(t *testing.T) {
 					continue
 				}
 				arrive := res.End[j]
-				if w := e.CEdgeAt(j, i); w > 0 {
+				if w := e.CEdge(e.View().Find(j, i)); w > 0 {
 					arrive += w * e.Dist.At(a.ProcOf[c.Of[j]], a.ProcOf[c.Of[i]])
 				}
 				if res.Start[i] < arrive {

@@ -209,15 +209,6 @@ func (e *Evaluator) View() *graph.View { return e.view }
 // 0 when it stays inside one.
 func (e *Evaluator) CEdge(id int) int { return e.Clus.CommWeight(e.view.Arcs()[id]) }
 
-// CEdgeAt returns clus_edge[j][i], the clustered weight of problem edge
-// j→i: 0 when the edge is intra-cluster or absent.
-func (e *Evaluator) CEdgeAt(j, i int) int {
-	if id := e.view.Find(j, i); id >= 0 {
-		return e.CEdge(id)
-	}
-	return 0
-}
-
 // precompute flattens the evaluation state: the transposed distance matrix
 // and the predecessor CSR split into communication-free and communicating
 // edges, both indexed by topological position. The records are packed

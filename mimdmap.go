@@ -79,6 +79,15 @@ import (
 type (
 	// Problem is a task DAG: node weights are execution times, edge
 	// weights are communication times per system link crossed.
+	//
+	// A Problem freezes the first time it is read as a whole: by
+	// Validate, TopoOrder, Fingerprint, View, NumEdges, TotalComm,
+	// Sources, Sinks, CriticalPathLength, EdgeList, or by passing it to
+	// Map, Solve or any other solver entry point (ReadProblem returns a
+	// frozen problem). From then on SetEdge panics, and writes straight
+	// into the Edge matrix are silently ignored by every later call. Build
+	// the problem completely first, or edit a Clone. Size, HasEdge, Preds,
+	// Succs, InDegree and OutDegree never freeze.
 	Problem = graph.Problem
 	// System is the undirected processor interconnection topology.
 	System = graph.System

@@ -90,8 +90,8 @@ func TestEvaluatorAndDeriveIdeal(t *testing.T) {
 	// are critical.
 	want := map[[2]int]int{{0, 1}: 3, {0, 2}: 1, {1, 3}: 2, {2, 3}: 4}
 	for e, w := range want {
-		if crit.ProbEdgeAt(e[0], e[1]) != w {
-			t.Fatalf("edge %v = %d, want %d", e, crit.ProbEdgeAt(e[0], e[1]), w)
+		if got := crit.ProbEdge[p.View().Find(e[0], e[1])]; got != w {
+			t.Fatalf("edge %v = %d, want %d", e, got, w)
 		}
 	}
 	if crit.NumCriticalProbEdges() != 4 {
