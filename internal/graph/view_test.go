@@ -97,19 +97,25 @@ func checkAgainstDense(t *testing.T, p *graph.Problem, c *graph.Clustering) {
 	}
 	arcs := v.Arcs()
 	for i := 0; i < n; i++ {
-		if got := p.Succs(i); !reflect.DeepEqual(got, succs[i]) {
-			t.Fatalf("Succs(%d) = %v, dense %v", i, got, succs[i])
-		}
-		if got := p.Preds(i); !reflect.DeepEqual(got, preds[i]) {
-			t.Fatalf("Preds(%d) = %v, dense %v", i, got, preds[i])
-		}
-		if p.InDegree(i) != len(preds[i]) || p.OutDegree(i) != len(succs[i]) {
-			t.Fatalf("degrees of %d = %d/%d, dense %d/%d", i, p.InDegree(i), p.OutDegree(i), len(preds[i]), len(succs[i]))
-		}
-		for k, e := range v.In(i) {
-			if arcs[e].To != i || arcs[e].From != preds[i][k] {
-				t.Fatalf("In(%d)[%d] = %+v, want %d→%d", i, k, arcs[e], preds[i][k], i)
+		var out, in []int
+		lo, hi := v.Out(i)
+		for _, a := range arcs[lo:hi] {
+			if a.From != i {
+				t.Fatalf("Out(%d) holds %+v", i, a)
 			}
+			out = append(out, a.To)
+		}
+		for _, e := range v.In(i) {
+			if arcs[e].To != i {
+				t.Fatalf("In(%d) holds %+v", i, arcs[e])
+			}
+			in = append(in, arcs[e].From)
+		}
+		if !reflect.DeepEqual(out, succs[i]) || !reflect.DeepEqual(in, preds[i]) {
+			t.Fatalf("task %d: view succs %v preds %v, dense %v %v", i, out, in, succs[i], preds[i])
+		}
+		if v.InDegree(i) != len(preds[i]) || v.OutDegree(i) != len(succs[i]) {
+			t.Fatalf("degrees of %d = %d/%d, dense %d/%d", i, v.InDegree(i), v.OutDegree(i), len(preds[i]), len(succs[i]))
 		}
 	}
 	cw := graph.ClusteredWeights(v, c)
