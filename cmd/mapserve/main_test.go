@@ -194,6 +194,26 @@ func TestSolveRejectsMalformedRequests(t *testing.T) {
 	}
 }
 
+// TestSolveRejectsOversizeTopology sends topology specs whose machines
+// would need gigabytes to build: each must come back as a 400 naming
+// the Topology field, decided before the machine is allocated.
+func TestSolveRejectsOversizeTopology(t *testing.T) {
+	probText, _ := serveInstance(t)
+	srv := newTestServer(t)
+	for _, spec := range []string{"ring-1000000", "hypercube-20", "mesh-4611686018427387904x4"} {
+		status, body := postSolve(t, srv.URL, mustJSON(t, map[string]any{
+			"problem": probText, "topology": spec, "clusterer": "random",
+		}))
+		var e errorResponse
+		if err := json.Unmarshal(body, &e); err != nil {
+			t.Fatalf("%s: error body not JSON: %s", spec, body)
+		}
+		if status != http.StatusBadRequest || !strings.Contains(e.Error, "Topology") {
+			t.Fatalf("%s: status %d, error %q; want a 400 naming Topology", spec, status, e.Error)
+		}
+	}
+}
+
 func TestSolveMethodAndHealth(t *testing.T) {
 	srv := newTestServer(t)
 	resp, err := http.Get(srv.URL + "/solve")

@@ -49,6 +49,13 @@ func at(p *graph.Problem, w []int, j, i int) int {
 	return 0
 }
 
+// bumped returns a copy of p with the weight of edge j→i one higher.
+func bumped(p *graph.Problem, j, i int) *graph.Problem {
+	v, q := p.View(), p.Clone()
+	q.SetEdge(j, i, v.Arcs()[v.Find(j, i)].W+1)
+	return q
+}
+
 func TestPaperModeRunningExample(t *testing.T) {
 	p, _, a := analyze(t, Paper)
 	// Paper-mode walk: latest task 9; its only clustered predecessor edge
@@ -209,7 +216,7 @@ func TestLongestCriticalChainProperty(t *testing.T) {
 		if len(chain) == 0 {
 			return false
 		}
-		if p.InDegree(chain[0]) != 0 && g.Start[chain[0]] != 0 {
+		if p.View().InDegree(chain[0]) != 0 && g.Start[chain[0]] != 0 {
 			return false
 		}
 		if !g.IsLatest(chain[len(chain)-1]) {
@@ -220,7 +227,7 @@ func TestLongestCriticalChainProperty(t *testing.T) {
 			total += p.Size[task]
 			if i+1 < len(chain) {
 				next := chain[i+1]
-				if p.Edge[task][next] == 0 {
+				if p.View().Find(task, next) < 0 {
 					return false
 				}
 				if g.Start[next] != g.End[task]+at(p, g.CEdge, task, next) {
@@ -282,9 +289,7 @@ func TestCriticalEdgesAreDefinitionallyCritical(t *testing.T) {
 					}
 					// Bump the problem edge weight (the clustered weight
 					// follows since j,i are in different clusters).
-					q := p.Clone()
-					q.Edge[j][i]++
-					g2, err := ideal.Derive(q, c)
+					g2, err := ideal.Derive(bumped(p, j, i), c)
 					if err != nil {
 						return false
 					}
@@ -317,9 +322,7 @@ func TestFullModeIsComplete(t *testing.T) {
 				if at(p, g.CEdge, j, i) == 0 {
 					continue
 				}
-				q := p.Clone()
-				q.Edge[j][i]++
-				g2, err := ideal.Derive(q, c)
+				g2, err := ideal.Derive(bumped(p, j, i), c)
 				if err != nil {
 					return false
 				}

@@ -32,11 +32,9 @@ func TestRandomValidatesAndRespectsRanges(t *testing.T) {
 				return false
 			}
 		}
-		for i := range p.Edge {
-			for j := range p.Edge[i] {
-				if w := p.Edge[i][j]; w != 0 && (w < 3 || w > 5) {
-					return false
-				}
+		for _, a := range p.View().Arcs() {
+			if a.W < 3 || a.W > 5 {
+				return false
 			}
 		}
 		return true
@@ -118,20 +116,19 @@ func TestLayeredStructure(t *testing.T) {
 	}
 	// Edges connect consecutive layers only.
 	layer := func(task int) int { return task / cfg.Width }
-	for i := range p.Edge {
-		for j := range p.Edge[i] {
-			if p.Edge[i][j] > 0 && layer(j) != layer(i)+1 {
-				t.Fatalf("edge %d→%d skips layers", i, j)
-			}
+	v := p.View()
+	for _, a := range v.Arcs() {
+		if layer(a.To) != layer(a.From)+1 {
+			t.Fatalf("edge %d→%d skips layers", a.From, a.To)
 		}
 	}
 	// Coupling: every non-final-layer task has a successor, every
 	// non-first-layer task a predecessor.
 	for task := 0; task < p.NumTasks(); task++ {
-		if layer(task) < cfg.Layers-1 && p.OutDegree(task) == 0 {
+		if layer(task) < cfg.Layers-1 && v.OutDegree(task) == 0 {
 			t.Fatalf("task %d has no successor", task)
 		}
-		if layer(task) > 0 && p.InDegree(task) == 0 {
+		if layer(task) > 0 && v.InDegree(task) == 0 {
 			t.Fatalf("task %d has no predecessor", task)
 		}
 	}
@@ -191,7 +188,7 @@ func TestForkJoin(t *testing.T) {
 		t.Fatalf("edges = %d, want 12", p.NumEdges())
 	}
 	// The join tasks form the spine: source 0, joins at 4, 8.
-	if p.InDegree(4) != 3 || p.InDegree(8) != 3 {
+	if v := p.View(); v.InDegree(4) != 3 || v.InDegree(8) != 3 {
 		t.Fatal("join in-degrees wrong")
 	}
 	// Critical path: 0 →w→ worker →w→ join →w→ worker →w→ join:
@@ -215,13 +212,14 @@ func TestButterfly(t *testing.T) {
 		t.Fatalf("edges = %d, want 48", p.NumEdges())
 	}
 	// Every non-final task has out-degree 2; every non-initial in-degree 2.
+	v := p.View()
 	for task := 0; task < 8; task++ {
-		if p.InDegree(task) != 0 || p.OutDegree(task) != 2 {
+		if v.InDegree(task) != 0 || v.OutDegree(task) != 2 {
 			t.Fatalf("rank-0 task %d degrees wrong", task)
 		}
 	}
 	for task := 24; task < 32; task++ {
-		if p.InDegree(task) != 2 || p.OutDegree(task) != 0 {
+		if v.InDegree(task) != 2 || v.OutDegree(task) != 0 {
 			t.Fatalf("final-rank task %d degrees wrong", task)
 		}
 	}

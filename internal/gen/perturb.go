@@ -3,6 +3,7 @@ package gen
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"mimdmap/internal/graph"
 )
@@ -95,7 +96,8 @@ func (sp *PerturbSpec) defaults() error {
 // returns the validated mutant. Mutations apply in a fixed order — resize,
 // reweight, shrink, grow on the problem; drop, add on the machine — so one
 // (instance, spec, seed) triple always produces one byte-identical result.
-// The input instance is never modified.
+// The input instance is never modified; reading its edges freezes the
+// input problem (see graph.Problem).
 func Perturb(inst Instance, spec PerturbSpec, seed int64) (Instance, error) {
 	if inst.Problem == nil || inst.System == nil {
 		return Instance{}, fmt.Errorf("gen: perturbation needs a problem and a system")
@@ -124,41 +126,44 @@ func Perturb(inst Instance, spec PerturbSpec, seed int64) (Instance, error) {
 }
 
 func perturbProblem(p *graph.Problem, sp *PerturbSpec, rng *rand.Rand) *graph.Problem {
-	q := p.Clone()
-	// Resize and reweight draw on the original shape so the decision
-	// stream never depends on the shrink/grow bookkeeping below.
-	for i := range q.Size {
-		if sp.ResizeTasks > 0 && rng.Float64() < sp.ResizeTasks {
-			q.Size[i] = uniform(rng, sp.MinTaskSize, sp.MaxTaskSize)
-		}
-	}
-	for i := range q.Edge {
-		for j := range q.Edge[i] {
-			if q.Edge[i][j] > 0 && sp.ReweightEdges > 0 && rng.Float64() < sp.ReweightEdges {
-				q.Edge[i][j] = uniform(rng, sp.MinEdgeWeight, sp.MaxEdgeWeight)
-			}
-		}
-	}
-	keep := q.NumTasks() - sp.ShrinkTasks
+	keep := p.NumTasks() - sp.ShrinkTasks
 	n := keep + sp.GrowTasks
 	out := graph.NewProblem(n)
-	copy(out.Size, q.Size[:keep])
-	for i := 0; i < keep; i++ {
-		copy(out.Edge[i][:keep], q.Edge[i][:keep])
+	// Resize and reweight draw on the original shape so the decision
+	// stream never depends on the shrink/grow bookkeeping below.
+	for i, s := range p.Size {
+		if sp.ResizeTasks > 0 && rng.Float64() < sp.ResizeTasks {
+			s = uniform(rng, sp.MinTaskSize, sp.MaxTaskSize)
+		}
+		if i < keep {
+			out.Size[i] = s
+		}
+	}
+	for _, a := range p.View().Arcs() {
+		w := a.W
+		if sp.ReweightEdges > 0 && rng.Float64() < sp.ReweightEdges {
+			w = uniform(rng, sp.MinEdgeWeight, sp.MaxEdgeWeight)
+		}
+		if a.From < keep && a.To < keep {
+			out.SetEdge(a.From, a.To, w)
+		}
 	}
 	// Grown tasks append to the ID range and draw only predecessors, so
 	// they extend every topological order without creating cycles.
+	var srcs []int
 	for t := keep; t < n; t++ {
 		out.Size[t] = uniform(rng, sp.MinTaskSize, sp.MaxTaskSize)
 		preds := 1 + rng.Intn(sp.MaxNewEdges)
 		if preds > t {
 			preds = t
 		}
+		srcs = srcs[:0]
 		for e := 0; e < preds; e++ {
 			src := rng.Intn(t)
-			if out.Edge[src][t] > 0 {
+			if slices.Contains(srcs, src) {
 				continue // duplicate draw: fewer edges, never a reroll loop
 			}
+			srcs = append(srcs, src)
 			out.SetEdge(src, t, uniform(rng, sp.MinEdgeWeight, sp.MaxEdgeWeight))
 		}
 	}

@@ -155,11 +155,9 @@ func TestAbstractPropertySymmetricAndConsistent(t *testing.T) {
 		}
 		// Total abstract weight counts each inter-cluster edge twice.
 		inter := 0
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if p.Edge[i][j] > 0 && c.Of[i] != c.Of[j] {
-					inter += p.Edge[i][j]
-				}
+		for _, e := range p.View().Arcs() {
+			if c.Of[e.From] != c.Of[e.To] {
+				inter += e.W
 			}
 		}
 		sum := 0
@@ -203,7 +201,7 @@ func TestClusteredEdgesPropertySubsetOfProblem(t *testing.T) {
 		cw := ClusteredWeights(v, c)
 		for e, a := range v.Arcs() {
 			switch {
-			case cw[e] != 0 && cw[e] != p.Edge[a.From][a.To]:
+			case cw[e] != 0 && cw[e] != a.W:
 				return false // weight must be preserved
 			case cw[e] != 0 && c.Of[a.From] == c.Of[a.To]:
 				return false // intra-cluster must be dropped

@@ -18,7 +18,9 @@ import "fmt"
 // of the old instance corresponds to task i of the new one while both
 // exist; growth appends IDs, shrinkage drops them. This is exactly how
 // evolving workloads are produced (gen.Perturb follows the same
-// convention) and keeps the diff O(n²) with no graph-isomorphism search.
+// convention) and needs no graph-isomorphism search: the problem side is
+// one merge of the two sorted edge lists, O(np + edges); the system side
+// scans the two adjacency matrices, O(ns²).
 // Instances that renumber their tasks diff as heavily changed and simply
 // fall back to a cold solve — a quality decision, never a correctness one.
 
@@ -53,7 +55,8 @@ type Delta struct {
 
 // Diff compares two (Problem, System) instances and returns their
 // structural delta. Both problems and both systems must be non-nil; the
-// result is deterministic and depends only on graph content.
+// result is deterministic and depends only on graph content. Diff reads,
+// and so freezes, both problems' Views.
 func Diff(oldP, newP *Problem, oldS, newS *System) Delta {
 	var d Delta
 	oldNP, newNP := oldP.NumTasks(), newP.NumTasks()
@@ -72,38 +75,33 @@ func Diff(oldP, newP *Problem, oldS, newS *System) Delta {
 			d.TasksResized++
 		}
 	}
-	oldEdges, newEdges := 0, 0
-	for i := 0; i < oldNP; i++ {
-		for j := 0; j < oldNP; j++ {
-			ow := oldP.Edge[i][j]
-			if ow <= 0 {
-				continue
-			}
-			oldEdges++
-			if i >= common || j >= common || newP.Edge[i][j] <= 0 {
-				d.EdgesRemoved++
-			}
+	// Both arc lists are sorted by (From, To): one merge pairs them up. A
+	// pair present in both lies inside the common task range.
+	oldArcs, newArcs := oldP.View().arcs, newP.View().arcs
+	for i, j := 0, 0; i < len(oldArcs) || j < len(newArcs); {
+		c := 1 // the old list is exhausted: the new arc was added
+		switch {
+		case j == len(newArcs):
+			c = -1
+		case i < len(oldArcs):
+			c = arcOrder(oldArcs[i], newArcs[j])
 		}
-	}
-	for i := 0; i < newNP; i++ {
-		for j := 0; j < newNP; j++ {
-			nw := newP.Edge[i][j]
-			if nw <= 0 {
-				continue
-			}
-			newEdges++
-			if i >= common || j >= common {
-				d.EdgesAdded++
-				continue
-			}
-			switch ow := oldP.Edge[i][j]; {
-			case ow <= 0:
-				d.EdgesAdded++
-			case ow != nw:
+		switch {
+		case c < 0:
+			d.EdgesRemoved++
+			i++
+		case c > 0:
+			d.EdgesAdded++
+			j++
+		default:
+			if oldArcs[i].W != newArcs[j].W {
 				d.EdgesReweighted++
 			}
+			i++
+			j++
 		}
 	}
+	oldEdges, newEdges := len(oldArcs), len(newArcs)
 
 	oldNS, newNS := oldS.NumNodes(), newS.NumNodes()
 	commonS := oldNS

@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
+	"testing/quick"
 )
 
 // deltaPair builds a small base instance for diffing: a 4-task diamond DAG
@@ -41,18 +43,17 @@ func TestDiffZero(t *testing.T) {
 
 func TestDiffProblemChanges(t *testing.T) {
 	p, s := deltaPair()
-	q := p.Clone()
 	// Grow one task with one incoming edge, resize one, reweight one edge.
 	grown := NewProblem(5)
-	copy(grown.Size, q.Size)
-	for i := range q.Edge {
-		copy(grown.Edge[i][:4], q.Edge[i])
+	copy(grown.Size, p.Size)
+	for _, a := range p.EdgeList() {
+		grown.SetEdge(a[0], a[1], a[2])
 	}
 	grown.Size[4] = 7
 	grown.SetEdge(3, 4, 2)
-	grown.Size[0] = 9    // resized
-	grown.Edge[0][1] = 5 // reweighted
-	grown.Edge[0][2] = 0 // removed
+	grown.Size[0] = 9      // resized
+	grown.SetEdge(0, 1, 5) // reweighted
+	grown.SetEdge(0, 2, 0) // removed
 	d := Diff(p, grown, s, s)
 	if !reflect.DeepEqual(d.TasksAdded, []int{4}) || d.TasksRemoved != nil {
 		t.Fatalf("tasks added/removed = %v/%v, want [4]/[]", d.TasksAdded, d.TasksRemoved)
@@ -112,6 +113,107 @@ func TestDiffTotalChangeSimilarityZero(t *testing.T) {
 	d := Diff(p, q, s, other)
 	if sim := d.Similarity(); sim >= 0.5 {
 		t.Fatalf("similarity of unrelated instances = %v, want low", sim)
+	}
+}
+
+// denseDiff is the reference Diff: task and system fields from Diff on
+// edge-free copies, edge fields from the O(np²) scan of the two matrices
+// that Diff made before problems stopped being dense. Cells ≤ 0 are no
+// edge.
+func denseDiff(oldSize, newSize []int, oldW, newW [][]int, oldS, newS *System) Delta {
+	oldP, newP := NewProblem(len(oldSize)), NewProblem(len(newSize))
+	copy(oldP.Size, oldSize)
+	copy(newP.Size, newSize)
+	d := Diff(oldP, newP, oldS, newS)
+	common := min(len(oldW), len(newW))
+	for i := range oldW {
+		for j, ow := range oldW[i] {
+			if ow <= 0 {
+				continue
+			}
+			d.OldElems++
+			if i >= common || j >= common || newW[i][j] <= 0 {
+				d.EdgesRemoved++
+			}
+		}
+	}
+	for i := range newW {
+		for j, nw := range newW[i] {
+			if nw <= 0 {
+				continue
+			}
+			d.NewElems++
+			switch {
+			case i >= common || j >= common || oldW[i][j] <= 0:
+				d.EdgesAdded++
+			case oldW[i][j] != nw:
+				d.EdgesReweighted++
+			}
+		}
+	}
+	return d
+}
+
+// matrixProblem builds a problem from sizes and a weight matrix, setting
+// the cells in random order.
+func matrixProblem(rng *rand.Rand, size []int, w [][]int) *Problem {
+	n := len(size)
+	p := NewProblem(n)
+	copy(p.Size, size)
+	for _, c := range rng.Perm(n * n) {
+		if w[c/n][c%n] != 0 {
+			p.SetEdge(c/n, c%n, w[c/n][c%n])
+		}
+	}
+	return p
+}
+
+// TestDiffMatchesDense diffs random index-aligned pairs — grown or shrunk,
+// resized, with edges added, removed, reweighted and some negative — and
+// demands the Delta of the dense reference.
+func TestDiffMatchesDense(t *testing.T) {
+	_, s := deltaPair()
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		cell := func(density float64) int {
+			if rng.Float64() >= density {
+				return 0
+			}
+			return rng.Intn(8) - 1
+		}
+		oldN := 1 + rng.Intn(20)
+		newN := max(1, oldN+rng.Intn(7)-3)
+		oldSize, newSize := make([]int, oldN), make([]int, newN)
+		oldW, newW := make([][]int, oldN), make([][]int, newN)
+		for i := range oldW {
+			oldSize[i] = rng.Intn(5)
+			oldW[i] = make([]int, oldN)
+			for j := range oldW[i] {
+				oldW[i][j] = cell(0.3)
+			}
+		}
+		for i := range newW {
+			newSize[i] = rng.Intn(5)
+			if i < oldN && rng.Intn(3) != 0 {
+				newSize[i] = oldSize[i]
+			}
+			newW[i] = make([]int, newN)
+			for j := range newW[i] {
+				newW[i][j] = cell(0.3)
+				if i < oldN && j < oldN && rng.Intn(5) != 0 {
+					newW[i][j] = oldW[i][j]
+				}
+			}
+		}
+		got := Diff(matrixProblem(rng, oldSize, oldW), matrixProblem(rng, newSize, newW), s, s)
+		want := denseDiff(oldSize, newSize, oldW, newW, s, s)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Diff = %+v, dense %+v", got, want)
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }
 

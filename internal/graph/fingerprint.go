@@ -24,17 +24,17 @@ import (
 //
 // Fingerprints memoize: the first call hashes the structure, repeats return
 // the stored digest (the serving hot path fingerprints the same graphs on
-// every request — rehashing an np×np edge matrix per cache hit dominated
-// the warm path before memoization). The memo makes first-Fingerprint a
+// every request — rehashing the whole graph per cache hit dominated the
+// warm path before memoization). The memo makes first-Fingerprint a
 // freeze point: graphs must not be structurally mutated after it. That was
 // already the de facto contract — the service layer shares graph pointers
 // between cached responses and their callers — and construction (builders,
 // parsers, generators) happens strictly before any fingerprint use.
 //
-// For a Problem the freeze point also builds its sparse View (view.go),
-// which Fingerprint hashes; Validate, TopoOrder, View and the whole-graph
-// queries listed on Problem freeze it too, and SetEdge on a frozen problem
-// panics.
+// For a Problem the freeze point also settles its edge log into the sparse
+// View (view.go), which Fingerprint hashes; Validate, TopoOrder, View and
+// the whole-graph queries listed on Problem freeze it too, and SetEdge on a
+// frozen problem panics, so no edge change can go unseen.
 
 // Fingerprint is a 256-bit content address of a graph structure.
 type Fingerprint [32]byte
@@ -144,9 +144,8 @@ func (p *Problem) Fingerprint() Fingerprint {
 	return p.fp.memo(p.fingerprint)
 }
 
-// fingerprint hashes the frozen view. Its edges are the matrix cells of
-// weight > 0 in row-major order, so the bytes are those the dense scan
-// hashed and the v1 tag stands.
+// fingerprint hashes the frozen view. Its edges, weight > 0, come sorted by
+// source then destination: the order the v1 encoding has always hashed.
 func (p *Problem) fingerprint() Fingerprint {
 	v := p.View()
 	h := NewHasher("mimdmap/problem/v1")

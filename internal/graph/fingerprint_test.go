@@ -131,16 +131,11 @@ func TestFingerprintSensitivity(t *testing.T) {
 	if q.Fingerprint() == base {
 		t.Fatal("task size change did not move the problem fingerprint")
 	}
-	q = p.Clone()
-	for i := range q.Edge {
-		for j := range q.Edge[i] {
-			if q.Edge[i][j] > 0 {
-				q.Edge[i][j]++
-				if q.Fingerprint() == base {
-					t.Fatal("edge weight change did not move the problem fingerprint")
-				}
-				q.Edge[i][j]--
-			}
+	for _, a := range p.View().Arcs() {
+		q = p.Clone()
+		q.SetEdge(a.From, a.To, a.W+1)
+		if q.Fingerprint() == base {
+			t.Fatal("edge weight change did not move the problem fingerprint")
 		}
 	}
 

@@ -22,10 +22,11 @@ import (
 //	assign <task> <cluster>
 //
 // Unknown directives are errors; blank lines and #-comments are skipped.
-// Header sizes are bounded by MaxTextNodes: the dense n×n structures behind
-// a problem or system make larger graphs impractical anyway, and the bound
-// keeps a hostile few-byte header ("problem 99999999") from allocating
-// gigabytes before validation can reject it.
+// Each input holds one header. Header sizes are bounded by MaxTextNodes: a
+// system is a dense n×n adjacency matrix, so the bound keeps a hostile
+// few-byte header ("system 99999999") from allocating gigabytes before
+// validation can reject it. Problems and clusterings take O(n) memory per
+// header and share the bound.
 
 // MaxTextNodes bounds the declared size of any graph read from the text
 // format — tasks of a problem, nodes of a system, tasks of a clustering.
@@ -49,11 +50,9 @@ func WriteProblem(w io.Writer, p *Problem) error {
 	for i, s := range p.Size {
 		fmt.Fprintf(bw, "task %d %d\n", i, s)
 	}
-	for i := range p.Edge {
-		for j := range p.Edge[i] {
-			if p.Edge[i][j] > 0 {
-				fmt.Fprintf(bw, "edge %d %d %d\n", i, j, p.Edge[i][j])
-			}
+	for _, a := range settle(p.edges) {
+		if a.W > 0 {
+			fmt.Fprintf(bw, "edge %d %d %d\n", a.From, a.To, a.W)
 		}
 	}
 	return bw.Flush()
@@ -93,6 +92,9 @@ func ReadProblem(r io.Reader) (*Problem, error) {
 	err := scanLines(r, func(line int, fields []string) error {
 		switch fields[0] {
 		case "problem":
+			if p != nil {
+				return fmt.Errorf("repeated problem header")
+			}
 			n, err := atoiField(fields, 1, "problem size")
 			if err != nil {
 				return err
@@ -136,7 +138,7 @@ func ReadProblem(r io.Reader) (*Problem, error) {
 			if src < 0 || src >= p.NumTasks() || dst < 0 || dst >= p.NumTasks() {
 				return fmt.Errorf("edge %d→%d out of range", src, dst)
 			}
-			p.Edge[src][dst] = w
+			p.SetEdge(src, dst, w)
 		default:
 			return fmt.Errorf("unknown directive %q", fields[0])
 		}
@@ -160,6 +162,9 @@ func ReadSystem(r io.Reader) (*System, error) {
 	err := scanLines(r, func(line int, fields []string) error {
 		switch fields[0] {
 		case "system":
+			if s != nil {
+				return fmt.Errorf("repeated system header")
+			}
 			n, err := atoiField(fields, 1, "system size")
 			if err != nil {
 				return err
@@ -210,6 +215,9 @@ func ReadClustering(r io.Reader) (*Clustering, error) {
 	err := scanLines(r, func(line int, fields []string) error {
 		switch fields[0] {
 		case "clustering":
+			if c != nil {
+				return fmt.Errorf("repeated clustering header")
+			}
 			n, err := atoiField(fields, 1, "clustering size")
 			if err != nil {
 				return err

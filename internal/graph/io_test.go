@@ -2,7 +2,10 @@ package graph
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -76,7 +79,7 @@ edge 0 1 2
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Size[0] != 3 || p.Size[1] != 4 || p.Edge[0][1] != 2 {
+	if p.Size[0] != 3 || p.Size[1] != 4 || !slices.Equal(p.EdgeList(), [][3]int{{0, 1, 2}}) {
 		t.Fatalf("parsed wrong problem: %+v", p)
 	}
 }
@@ -111,6 +114,7 @@ func TestReadSystemErrors(t *testing.T) {
 		"empty input":       "",
 		"negative size":     "system -2\n",
 		"absurd size":       "system 99999999\n",
+		"repeated header":   "system 2\nlink 0 1\nsystem 2\nlink 0 1\n",
 	}
 	for name, in := range cases {
 		if _, err := ReadSystem(strings.NewReader(in)); err == nil {
@@ -121,12 +125,13 @@ func TestReadSystemErrors(t *testing.T) {
 
 func TestReadClusteringErrors(t *testing.T) {
 	cases := map[string]string{
-		"no header":     "assign 0 0\n",
-		"out of range":  "clustering 2 2\nassign 0 0\nassign 1 5\n",
-		"empty cluster": "clustering 2 2\nassign 0 0\nassign 1 0\n",
-		"bad task":      "clustering 1 1\nassign 9 0\n",
-		"negative size": "clustering -3 1\n",
-		"absurd k":      "clustering 2 99999999\n",
+		"no header":       "assign 0 0\n",
+		"out of range":    "clustering 2 2\nassign 0 0\nassign 1 5\n",
+		"empty cluster":   "clustering 2 2\nassign 0 0\nassign 1 0\n",
+		"bad task":        "clustering 1 1\nassign 9 0\n",
+		"negative size":   "clustering -3 1\n",
+		"absurd k":        "clustering 2 99999999\n",
+		"repeated header": "clustering 1 1\nassign 0 0\nclustering 1 1\n",
 	}
 	for name, in := range cases {
 		if _, err := ReadClustering(strings.NewReader(in)); err == nil {
@@ -168,6 +173,8 @@ func TestReadProblemRobustness(t *testing.T) {
 	}
 	bad := map[string]string{
 		"second header smaller": "problem 3\ntask 2 1\nproblem 1\ntask 2 1\n",
+		"repeated header":       "problem 2\nproblem 2\n",
+		"second header larger":  "problem 1\ntask 0 1\nproblem 3\n",
 		"negative task":         "problem 1\ntask 0 -2\n",
 		"float weight":          "problem 2\nedge 0 1 1.5\n",
 		"trailing junk number":  "problem 2x\n",
@@ -175,6 +182,30 @@ func TestReadProblemRobustness(t *testing.T) {
 	for name, in := range bad {
 		if _, err := ReadProblem(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: accepted %q", name, in)
+		}
+	}
+}
+
+// TestReadHeadersAllocateLinearly pins the cost of hostile headers: the
+// 14-byte "problem 16384" must not allocate an np×np matrix (2 GiB when
+// problems were dense), and a repeated system header must be rejected
+// before it allocates a second ns×ns one.
+func TestReadHeadersAllocateLinearly(t *testing.T) {
+	cases := []struct {
+		in    string
+		read  func(io.Reader) error
+		limit uint64
+	}{
+		{"problem 16384\n", func(r io.Reader) error { _, err := ReadProblem(r); return err }, 1 << 20},
+		{strings.Repeat("system 2048\n", 64), func(r io.Reader) error { _, err := ReadSystem(r); return err }, 8 << 20},
+	}
+	for _, tc := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		tc.read(strings.NewReader(tc.in))
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= tc.limit {
+			t.Errorf("%.16q… allocated %d bytes, limit %d", tc.in, got, tc.limit)
 		}
 	}
 }

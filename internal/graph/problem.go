@@ -15,21 +15,22 @@ package graph
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"sync/atomic"
 )
 
 // Problem is a problem graph Gp: a directed acyclic graph whose nodes are
 // tasks with execution-time weights and whose edges carry communication-time
-// weights. Edge[i][j] > 0 means task i must complete before task j starts
-// and sends a message of cost Edge[i][j] (per system edge traversed).
+// weights. An edge i→j of weight w > 0 means task i must complete before
+// task j starts and sends a message of cost w (per system edge traversed).
 //
-// Edge is the input form that parsers, generators and Diff read and write.
-// Everything that runs per solve reads the frozen sparse View instead,
-// built on first use by Validate, TopoOrder, Fingerprint, View or one of
-// the whole-graph queries (NumEdges, TotalComm, Sources, Sinks,
-// CriticalPathLength, EdgeList). After that freeze point the problem must
-// not change: SetEdge panics, and direct writes to Edge are not seen.
-// Preds, Succs, InDegree and OutDegree scan Edge and never freeze.
+// The input form is an edge log: SetEdge appends to it, and Clone, Equal
+// and WriteProblem read it without freezing. Validate, TopoOrder, Fingerprint, View and the
+// whole-graph queries (NumEdges, TotalComm, Sources, Sinks,
+// CriticalPathLength, EdgeList) freeze the problem: they build the sparse
+// View from the log once, and every per-solve consumer reads that. After
+// the freeze point SetEdge panics.
 //
 // The zero value is an empty graph with no tasks; use NewProblem to allocate
 // a graph of a given size.
@@ -37,11 +38,9 @@ type Problem struct {
 	// Size holds the execution time of each task. len(Size) is the number
 	// of tasks np.
 	Size []int
-	// Edge is the np×np problem edge matrix prob_edge of the paper.
-	// Edge[i][j] is the communication weight of the precedence edge i→j,
-	// or 0 if there is no edge.
-	Edge [][]int
 
+	// edges is the edge log, one entry per SetEdge call in call order.
+	edges []Arc
 	// fp and view memoize Fingerprint and View; see the freeze-point
 	// contract in fingerprint.go. They also make Problem no-copy (vet:
 	// copylocks).
@@ -52,21 +51,13 @@ type Problem struct {
 // NewProblem returns a problem graph with n tasks, no edges, and all task
 // sizes zero.
 func NewProblem(n int) *Problem {
-	p := &Problem{
-		Size: make([]int, n),
-		Edge: make([][]int, n),
-	}
-	cells := make([]int, n*n)
-	for i := range p.Edge {
-		p.Edge[i], cells = cells[:n:n], cells[n:]
-	}
-	return p
+	return &Problem{Size: make([]int, n)}
 }
 
 // View returns the frozen sparse view of the problem, building it on first
 // use. The first call is the problem's freeze point: later changes to Size
-// or Edge are not seen, and SetEdge panics. Concurrent first calls build
-// equal views and all return the one that was stored.
+// are not seen, and SetEdge panics. Concurrent first calls build equal
+// views and all return the one that was stored.
 func (p *Problem) View() *View {
 	if v := p.view.Load(); v != nil {
 		return v
@@ -81,69 +72,23 @@ func (p *Problem) View() *View {
 // NumTasks returns np, the number of tasks.
 func (p *Problem) NumTasks() int { return len(p.Size) }
 
-// SetEdge records the precedence edge i→j with communication weight w.
-// It panics if i or j is out of range, or if the problem is frozen (see
-// View); use Validate to detect semantic problems such as cycles or
-// non-positive weights.
+// SetEdge records the precedence edge i→j with communication weight w. A
+// later call for the same pair replaces the weight, and w == 0 deletes the
+// edge. It panics if i or j is out of range, or if the problem is frozen
+// (see View); use Validate to detect semantic problems such as cycles or
+// negative weights.
 func (p *Problem) SetEdge(i, j, w int) {
+	if n := p.NumTasks(); i < 0 || i >= n || j < 0 || j >= n {
+		panic(fmt.Sprintf("graph: SetEdge(%d, %d) out of range [0,%d)", i, j, n))
+	}
 	if p.view.Load() != nil {
 		panic("graph: SetEdge on a frozen problem")
 	}
-	p.Edge[i][j] = w
+	p.edges = append(p.edges, Arc{From: i, To: j, W: w})
 }
-
-// HasEdge reports whether the precedence edge i→j exists.
-func (p *Problem) HasEdge(i, j int) bool { return p.Edge[i][j] > 0 }
 
 // NumEdges returns the number of precedence edges. It freezes the problem.
 func (p *Problem) NumEdges() int { return p.View().NumEdges() }
-
-// Preds returns the predecessor task IDs of task i in ascending order.
-// Like Succs, InDegree and OutDegree it scans the dense matrix and does not
-// freeze the problem, so generators can call it mid-construction; on a
-// frozen problem, View().In and View().Out answer without the scan.
-func (p *Problem) Preds(i int) []int {
-	var preds []int
-	for j := range p.Edge {
-		if p.Edge[j][i] > 0 {
-			preds = append(preds, j)
-		}
-	}
-	return preds
-}
-
-// Succs returns the successor task IDs of task i in ascending order.
-func (p *Problem) Succs(i int) []int {
-	var succs []int
-	for j := range p.Edge[i] {
-		if p.Edge[i][j] > 0 {
-			succs = append(succs, j)
-		}
-	}
-	return succs
-}
-
-// InDegree returns the number of predecessors of task i.
-func (p *Problem) InDegree(i int) int {
-	n := 0
-	for j := range p.Edge {
-		if p.Edge[j][i] > 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// OutDegree returns the number of successors of task i.
-func (p *Problem) OutDegree(i int) int {
-	n := 0
-	for j := range p.Edge[i] {
-		if p.Edge[i][j] > 0 {
-			n++
-		}
-	}
-	return n
-}
 
 // TotalWork returns the sum of all task sizes: the serial execution time of
 // the program on a single processor, ignoring communication.
@@ -168,40 +113,23 @@ func (p *Problem) TotalComm() int {
 func (p *Problem) Clone() *Problem {
 	q := NewProblem(p.NumTasks())
 	copy(q.Size, p.Size)
-	for i := range p.Edge {
-		copy(q.Edge[i], p.Edge[i])
-	}
+	q.edges = slices.Clone(p.edges)
 	return q
 }
 
 // Equal reports whether two problem graphs have identical task sizes and
-// edge matrices.
+// edges. It does not freeze either problem.
 func (p *Problem) Equal(q *Problem) bool {
-	if p.NumTasks() != q.NumTasks() {
-		return false
-	}
-	for i, s := range p.Size {
-		if q.Size[i] != s {
-			return false
-		}
-	}
-	for i := range p.Edge {
-		for j := range p.Edge[i] {
-			if p.Edge[i][j] != q.Edge[i][j] {
-				return false
-			}
-		}
-	}
-	return true
+	return slices.Equal(p.Size, q.Size) && slices.Equal(settle(p.edges), settle(q.edges))
 }
 
 // ErrCyclic is returned by Validate and TopoOrder when the problem graph
 // contains a directed cycle and therefore is not a precedence graph.
 var ErrCyclic = errors.New("graph: problem graph contains a cycle")
 
-// Validate checks the structural invariants of a problem graph: a square
-// edge matrix matching len(Size), non-negative task sizes and edge weights,
-// no self-loops, and acyclicity. It freezes the problem: the verdict is
+// Validate checks the structural invariants of a problem graph: edges
+// between existing tasks, non-negative task sizes and edge weights, no
+// self-loops, and acyclicity. It freezes the problem: the verdict is
 // computed once, with the view.
 func (p *Problem) Validate() error { return p.View().Err() }
 

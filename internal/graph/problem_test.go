@@ -32,26 +32,34 @@ func TestNewProblemEmpty(t *testing.T) {
 }
 
 func TestProblemEdgesAndDegrees(t *testing.T) {
-	p := diamond()
-	if !p.HasEdge(0, 1) || p.HasEdge(1, 0) {
+	v := diamond().View()
+	if v.Find(0, 1) < 0 || v.Find(1, 0) >= 0 {
 		t.Fatalf("edge direction wrong")
 	}
-	if got := p.NumEdges(); got != 4 {
+	if got := v.NumEdges(); got != 4 {
 		t.Fatalf("NumEdges = %d, want 4", got)
 	}
-	if got := p.Preds(3); !reflect.DeepEqual(got, []int{1, 2}) {
-		t.Fatalf("Preds(3) = %v, want [1 2]", got)
+	var preds, succs []int
+	for _, e := range v.In(3) {
+		preds = append(preds, v.Arcs()[e].From)
 	}
-	if got := p.Succs(0); !reflect.DeepEqual(got, []int{1, 2}) {
-		t.Fatalf("Succs(0) = %v, want [1 2]", got)
+	lo, hi := v.Out(0)
+	for _, a := range v.Arcs()[lo:hi] {
+		succs = append(succs, a.To)
 	}
-	if got := p.InDegree(3); got != 2 {
+	if !reflect.DeepEqual(preds, []int{1, 2}) {
+		t.Fatalf("preds of 3 = %v, want [1 2]", preds)
+	}
+	if !reflect.DeepEqual(succs, []int{1, 2}) {
+		t.Fatalf("succs of 0 = %v, want [1 2]", succs)
+	}
+	if got := v.InDegree(3); got != 2 {
 		t.Fatalf("InDegree(3) = %d, want 2", got)
 	}
-	if got := p.OutDegree(0); got != 2 {
+	if got := v.OutDegree(0); got != 2 {
 		t.Fatalf("OutDegree(0) = %d, want 2", got)
 	}
-	if got := p.InDegree(0); got != 0 {
+	if got := v.InDegree(0); got != 0 {
 		t.Fatalf("InDegree(0) = %d, want 0", got)
 	}
 }
@@ -110,7 +118,7 @@ func TestValidateRejectsNegativeTaskSize(t *testing.T) {
 
 func TestValidateRejectsNegativeEdge(t *testing.T) {
 	p := NewProblem(2)
-	p.Edge[0][1] = -1
+	p.SetEdge(0, 1, -1)
 	if err := p.Validate(); err == nil {
 		t.Fatal("Validate accepted negative edge weight")
 	}
@@ -118,18 +126,28 @@ func TestValidateRejectsNegativeEdge(t *testing.T) {
 
 func TestValidateRejectsSelfLoop(t *testing.T) {
 	p := NewProblem(2)
-	p.Edge[1][1] = 2
+	p.SetEdge(1, 1, 2)
 	if err := p.Validate(); err == nil {
 		t.Fatal("Validate accepted self-loop")
 	}
 }
 
-func TestValidateRejectsRaggedMatrix(t *testing.T) {
-	p := NewProblem(2)
-	p.Edge[1] = p.Edge[1][:1]
+func TestValidateRejectsEdgeBeyondSize(t *testing.T) {
+	p := NewProblem(3)
+	p.SetEdge(0, 2, 1)
+	p.Size = p.Size[:2]
 	if err := p.Validate(); err == nil {
-		t.Fatal("Validate accepted ragged matrix")
+		t.Fatal("Validate accepted an edge to a task that no longer exists")
 	}
+}
+
+func TestSetEdgeOutOfRangePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SetEdge out of range did not panic")
+		}
+	}()
+	NewProblem(2).SetEdge(0, 2, 1)
 }
 
 func TestCloneIsDeep(t *testing.T) {
@@ -140,7 +158,7 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 	q.SetEdge(0, 3, 9)
 	q.Size[0] = 99
-	if p.Edge[0][3] != 0 || p.Size[0] != 2 {
+	if p.View().Find(0, 3) >= 0 || p.Size[0] != 2 {
 		t.Fatal("mutating clone changed original")
 	}
 	if p.Equal(q) {
@@ -211,11 +229,9 @@ func TestTopoOrderPropertyRespectsEdges(t *testing.T) {
 		for rank, task := range order {
 			pos[task] = rank
 		}
-		for i := range p.Edge {
-			for j := range p.Edge[i] {
-				if p.Edge[i][j] > 0 && pos[i] >= pos[j] {
-					return false
-				}
+		for _, a := range p.View().Arcs() {
+			if pos[a.From] >= pos[a.To] {
+				return false
 			}
 		}
 		return len(order) == p.NumTasks()

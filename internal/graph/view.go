@@ -1,86 +1,107 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
 // View is the frozen sparse form of a Problem: every precedence edge once,
 // reachable from a successor and a predecessor index, plus the topological
-// order and the Validate verdict. Problem.View builds it in one row-major
-// pass over the dense edge matrix at the freeze point (see fingerprint.go)
-// and memoises it, so every per-solve consumer — validation, the §4.1 ideal
-// graph, the §4.2 critical-edge walk, the evaluator, the clusterers — reads
-// O(np + edges) arrays instead of rescanning np×np cells.
+// order and the Validate verdict. Problem.View builds it from the edge log
+// at the freeze point (see fingerprint.go) and memoises it, so every
+// per-solve consumer — validation, the §4.1 ideal graph, the §4.2
+// critical-edge walk, the evaluator, the clusterers — reads O(np + edges)
+// arrays.
 //
 // A View is read-only and safe for concurrent use. The slices its methods
 // return are shared: callers must not modify them.
 type View struct {
 	n int
-	// arcs holds every edge of weight > 0 in row-major order of the dense
-	// matrix: by source, then destination, both ascending. An edge's index
-	// in arcs is its edge ID; per-edge data elsewhere (clustered weights,
-	// ideal edges, critical marks) is indexed by it.
+	// arcs holds every edge of weight > 0 sorted by source, then
+	// destination, both ascending. An edge's index in arcs is its edge ID;
+	// per-edge data elsewhere (clustered weights, ideal edges, critical
+	// marks) is indexed by it.
 	arcs []Arc
 	// out[i]..out[i+1] are the IDs of the edges leaving task i.
 	out []int
 	// in[inOff[i]:inOff[i+1]] are the IDs of the edges entering task i,
 	// sources ascending.
 	inOff, in []int
-	// order is the topological order, nil when the graph is cyclic or
-	// malformed.
+	// order is the topological order, nil when the graph is cyclic.
 	order []int
-	// square reports an np×np matrix. The view of a malformed matrix holds
-	// only arcs (which Fingerprint reads) and err.
-	square bool
-	err    error
+	err   error
 }
 
-// Arc is one precedence edge From→To with communication weight W > 0.
+// Arc is one precedence edge From→To with communication weight W: W > 0
+// in a View, and the weight SetEdge was given in a problem's edge log.
 type Arc struct {
 	From, To, W int
 }
 
+// settle returns the edges an edge log leaves standing, sorted by source,
+// then destination: the last write to each pair, without the weight-0
+// writes that delete an edge. Negative weights stay for Validate to
+// report. The log itself is not modified, so concurrent first View calls
+// may share it.
+func settle(log []Arc) []Arc {
+	arcs := slices.Clone(log)
+	slices.SortStableFunc(arcs, arcOrder)
+	kept := arcs[:0]
+	for k, a := range arcs {
+		if k+1 < len(arcs) && arcs[k+1].From == a.From && arcs[k+1].To == a.To {
+			continue // a later write to the pair wins
+		}
+		if a.W != 0 {
+			kept = append(kept, a)
+		}
+	}
+	return kept
+}
+
+// arcOrder orders arcs by source, then destination.
+func arcOrder(a, b Arc) int {
+	return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
+}
+
 // newView builds the view of p. The checks run in Validate's historical
-// order — matrix shape, task sizes, edge cells row-major (a negative weight
-// before a self-loop), acyclicity — so the first error reported is the same
-// one the dense checks reported.
+// order — task sizes, then edges by source and destination (a negative
+// weight before a self-loop), then acyclicity — so the first error
+// reported is the same one the dense checks reported.
 func newView(p *Problem) *View {
 	n := p.NumTasks()
-	v := &View{n: n, out: make([]int, len(p.Edge)+1)}
-	v.err = p.checkShape()
-	v.square = v.err == nil
-	if v.err == nil {
-		for i, s := range p.Size {
-			if s < 0 {
-				v.err = fmt.Errorf("graph: task %d has negative size %d", i, s)
-				break
-			}
+	v := &View{n: n, out: make([]int, n+1), inOff: make([]int, n+1)}
+	for i, s := range p.Size {
+		if s < 0 {
+			v.err = fmt.Errorf("graph: task %d has negative size %d", i, s)
+			break
 		}
 	}
-	for i, row := range p.Edge {
-		for j, w := range row {
-			switch {
-			case w == 0: // the common case: one compare per empty cell
-			case w > 0:
-				v.arcs = append(v.arcs, Arc{From: i, To: j, W: w})
-				if i == j && v.err == nil {
-					v.err = fmt.Errorf("graph: task %d has a self-loop", i)
-				}
-			case w < 0 && v.err == nil:
-				v.err = fmt.Errorf("graph: edge %d→%d has negative weight %d", i, j, w)
-			}
+	fail := func(err error) {
+		if v.err == nil {
+			v.err = err
 		}
-		v.out[i+1] = len(v.arcs)
 	}
-	if !v.square {
-		return v
-	}
-	v.inOff = make([]int, n+1)
-	for _, a := range v.arcs {
+	arcs := settle(p.edges)
+	v.arcs = arcs[:0] // filtered in place: the write index never passes the read
+	for _, a := range arcs {
+		switch {
+		case a.From >= n || a.To >= n: // Size shrank after SetEdge
+			fail(fmt.Errorf("graph: edge %d→%d out of range [0,%d)", a.From, a.To, n))
+			continue
+		case a.W < 0:
+			fail(fmt.Errorf("graph: edge %d→%d has negative weight %d", a.From, a.To, a.W))
+			continue
+		case a.From == a.To:
+			fail(fmt.Errorf("graph: task %d has a self-loop", a.From))
+		}
+		v.arcs = append(v.arcs, a)
+		v.out[a.From+1]++
 		v.inOff[a.To+1]++
 	}
 	for i := 0; i < n; i++ {
+		v.out[i+1] += v.out[i]
 		v.inOff[i+1] += v.inOff[i]
 	}
 	// Filling in edge-ID order keeps every predecessor list sorted by source.
@@ -96,20 +117,6 @@ func newView(p *Problem) *View {
 		v.err = ErrCyclic
 	}
 	return v
-}
-
-// checkShape reports an edge matrix that is not np×np.
-func (p *Problem) checkShape() error {
-	n := p.NumTasks()
-	if len(p.Edge) != n {
-		return fmt.Errorf("graph: edge matrix has %d rows, want %d", len(p.Edge), n)
-	}
-	for i := range p.Edge {
-		if len(p.Edge[i]) != n {
-			return fmt.Errorf("graph: edge matrix row %d has %d columns, want %d", i, len(p.Edge[i]), n)
-		}
-	}
-	return nil
 }
 
 // topoSort runs Kahn's algorithm, always taking the lowest-numbered ready
@@ -198,17 +205,12 @@ func (v *View) InDegree(i int) int { return v.inOff[i+1] - v.inOff[i] }
 func (v *View) OutDegree(i int) int { return v.out[i+1] - v.out[i] }
 
 // Order returns the topological order (ties broken by ascending task ID).
-// It returns ErrCyclic when the graph has a cycle, and the shape error when
-// the edge matrix is not np×np.
+// It returns ErrCyclic when the graph has a cycle.
 func (v *View) Order() ([]int, error) {
-	switch {
-	case v.order != nil:
-		return v.order, nil
-	case !v.square:
-		return nil, v.err
-	default:
+	if v.order == nil {
 		return nil, ErrCyclic
 	}
+	return v.order, nil
 }
 
 // Err returns the Validate verdict: nil for a well-formed DAG.

@@ -68,18 +68,14 @@ func TestContendedScheduleValidProperty(t *testing.T) {
 		res := e.EvaluateContended(a)
 		n := p.NumTasks()
 		// Precedence + communication.
-		for j := 0; j < n; j++ {
-			for i := 0; i < n; i++ {
-				if p.Edge[j][i] == 0 {
-					continue
-				}
-				arrive := res.End[j]
-				if w := e.CEdge(e.View().Find(j, i)); w > 0 {
-					arrive += w * e.Dist.At(a.ProcOf[c.Of[j]], a.ProcOf[c.Of[i]])
-				}
-				if res.Start[i] < arrive {
-					return false
-				}
+		for id, arc := range e.View().Arcs() {
+			j, i := arc.From, arc.To
+			arrive := res.End[j]
+			if w := e.CEdge(id); w > 0 {
+				arrive += w * e.Dist.At(a.ProcOf[c.Of[j]], a.ProcOf[c.Of[i]])
+			}
+			if res.Start[i] < arrive {
+				return false
 			}
 		}
 		// No overlap on a processor (tasks with zero size may share an

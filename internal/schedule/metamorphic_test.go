@@ -30,14 +30,12 @@ func TestScalingLinearity(t *testing.T) {
 			return false
 		}
 		const k = 3
-		scaled := p.Clone()
-		for i := range scaled.Size {
-			scaled.Size[i] *= k
+		scaled := graph.NewProblem(p.NumTasks())
+		for i, sz := range p.Size {
+			scaled.Size[i] = k * sz
 		}
-		for i := range scaled.Edge {
-			for j := range scaled.Edge[i] {
-				scaled.Edge[i][j] *= k
-			}
+		for _, a := range p.View().Arcs() {
+			scaled.SetEdge(a.From, a.To, k*a.W)
 		}
 		e2, err := NewEvaluator(scaled, c, dist)
 		if err != nil {

@@ -184,63 +184,66 @@ func Random(n int, extra float64, rng *rand.Rand) *graph.System {
 //	torus-<rows>x<cols>
 //	ring-<n> | chain-<n> | star-<n> | complete-<n> | btree-<n>
 //	random-<n>           (needs rng; extra-link probability 0.15)
+//
+// A spec naming more than graph.MaxTextNodes processors, the limit text
+// systems share, is rejected before anything is allocated.
 func ByName(spec string, rng *rand.Rand) (*graph.System, error) {
-	var (
-		a, b int
-	)
+	var a, b int
+	rows, cols := 1, 1 // the node count is rows×cols
+	var build func() *graph.System
 	switch {
 	case matchSpec(spec, "hypercube-%d", &a):
 		if a < 0 || a > 20 {
 			return nil, fmt.Errorf("topology: hypercube dimension %d out of range", a)
 		}
-		return Hypercube(a), nil
+		rows, build = 1<<a, func() *graph.System { return Hypercube(a) }
 	case matchSpec2(spec, "mesh-%dx%d", &a, &b):
 		if a <= 0 || b <= 0 {
 			return nil, fmt.Errorf("topology: bad mesh %q", spec)
 		}
-		return Mesh(a, b), nil
+		rows, cols, build = a, b, func() *graph.System { return Mesh(a, b) }
 	case matchSpec2(spec, "torus-%dx%d", &a, &b):
 		if a <= 0 || b <= 0 {
 			return nil, fmt.Errorf("topology: bad torus %q", spec)
 		}
-		return Torus(a, b), nil
+		rows, cols, build = a, b, func() *graph.System { return Torus(a, b) }
 	case matchSpec(spec, "ring-%d", &a):
 		if a < 1 {
 			return nil, fmt.Errorf("topology: bad ring %q", spec)
 		}
-		return Ring(a), nil
+		rows, build = a, func() *graph.System { return Ring(a) }
 	case matchSpec(spec, "chain-%d", &a):
 		if a < 1 {
 			return nil, fmt.Errorf("topology: bad chain %q", spec)
 		}
-		return Chain(a), nil
+		rows, build = a, func() *graph.System { return Chain(a) }
 	case matchSpec(spec, "star-%d", &a):
 		if a < 1 {
 			return nil, fmt.Errorf("topology: bad star %q", spec)
 		}
-		return Star(a), nil
+		rows, build = a, func() *graph.System { return Star(a) }
 	case matchSpec(spec, "complete-%d", &a):
 		if a < 1 {
 			return nil, fmt.Errorf("topology: bad complete %q", spec)
 		}
-		return Complete(a), nil
+		rows, build = a, func() *graph.System { return Complete(a) }
 	case matchSpec(spec, "btree-%d", &a):
 		if a < 1 {
 			return nil, fmt.Errorf("topology: bad btree %q", spec)
 		}
-		return BinaryTree(a), nil
+		rows, build = a, func() *graph.System { return BinaryTree(a) }
 	case matchSpec(spec, "ccc-%d", &a):
 		if a < 1 || a > 16 {
 			return nil, fmt.Errorf("topology: bad ccc %q", spec)
 		}
-		return CCC(a), nil
+		rows, cols, build = a, 1<<a, func() *graph.System { return CCC(a) }
 	case matchSpec(spec, "debruijn-%d", &a):
 		if a < 1 || a > 20 {
 			return nil, fmt.Errorf("topology: bad debruijn %q", spec)
 		}
-		return DeBruijn(a), nil
+		rows, build = 1<<a, func() *graph.System { return DeBruijn(a) }
 	case spec == "petersen":
-		return Petersen(), nil
+		build = Petersen
 	case matchSpec(spec, "random-%d", &a):
 		if a < 1 {
 			return nil, fmt.Errorf("topology: bad random %q", spec)
@@ -248,9 +251,14 @@ func ByName(spec string, rng *rand.Rand) (*graph.System, error) {
 		if rng == nil {
 			return nil, fmt.Errorf("topology: random topology %q needs a seeded RNG", spec)
 		}
-		return Random(a, 0.15, rng), nil
+		rows, build = a, func() *graph.System { return Random(a, 0.15, rng) }
+	default:
+		return nil, fmt.Errorf("topology: unknown specification %q", spec)
 	}
-	return nil, fmt.Errorf("topology: unknown specification %q", spec)
+	if rows > graph.MaxTextNodes/cols { // rows×cols > MaxTextNodes, without overflow
+		return nil, fmt.Errorf("topology: %q has more than %d nodes", spec, graph.MaxTextNodes)
+	}
+	return build(), nil
 }
 
 func matchSpec(s, format string, a *int) bool {

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -163,6 +164,30 @@ func TestRandomDeterministicPerSeed(t *testing.T) {
 	c := Random(20, 0.2, rand.New(rand.NewSource(43)))
 	if a.Equal(c) {
 		t.Fatal("different seeds produced identical topologies (suspicious)")
+	}
+}
+
+// TestByNameRejectsOversizeSpecs covers specs past graph.MaxTextNodes:
+// a dense system of that size takes ns² bytes, so each must be rejected
+// from its name alone, allocating well under a megabyte.
+func TestByNameRejectsOversizeSpecs(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, spec := range []string{
+		"hypercube-15", "hypercube-20", "ccc-11", "ccc-16", "debruijn-15", "debruijn-20",
+		"ring-16385", "ring-1000000", "chain-99999999", "star-20000", "complete-1000000",
+		"btree-16385", "random-1000000", "mesh-128x129", "torus-1000000x1000000",
+		"mesh-4611686018427387904x4", "torus-3037000500x3037000500",
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ByName(spec, rng)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("ByName accepted %q", spec)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Fatalf("ByName(%q) allocated %d bytes before rejecting it", spec, got)
+		}
 	}
 }
 

@@ -84,10 +84,8 @@ type (
 	// Validate, TopoOrder, Fingerprint, View, NumEdges, TotalComm,
 	// Sources, Sinks, CriticalPathLength, EdgeList, or by passing it to
 	// Map, Solve or any other solver entry point (ReadProblem returns a
-	// frozen problem). From then on SetEdge panics, and writes straight
-	// into the Edge matrix are silently ignored by every later call. Build
-	// the problem completely first, or edit a Clone. Size, HasEdge, Preds,
-	// Succs, InDegree and OutDegree never freeze.
+	// frozen problem). From then on SetEdge panics. Build the problem
+	// completely first, or edit a Clone; Clone and Equal never freeze.
 	Problem = graph.Problem
 	// System is the undirected processor interconnection topology.
 	System = graph.System
