@@ -34,10 +34,29 @@ func (m *Mapper) initialAssignment(crit *critical.Analysis) (*schedule.Assignmen
 	visitedSys := make([]bool, ns)
 	deg := m.sys.Degrees()
 	mca := m.abs.MCA()
+	// critAdj[k] / absAdj[k] report whether abstract node k shares a
+	// critical / any abstract edge with a visited node. Maintaining them
+	// as nodes are visited keeps the next-node scans O(K) instead of
+	// rescanning every visited node for every candidate.
+	critAdj := make([]bool, na)
+	absAdj := make([]bool, na)
+	neighbours := make([]placedNeighbour, 0, na)
 
+	visit := func(va int) {
+		visitedAbs[va] = true
+		absRow := m.abs.Weight[va]
+		for l, w := range crit.AbsEdge[va] {
+			if w > 0 {
+				critAdj[l] = true
+			}
+			if absRow[l] > 0 {
+				absAdj[l] = true
+			}
+		}
+	}
 	place := func(va, vs int) {
 		assign.ProcOf[va] = vs
-		visitedAbs[va] = true
+		visit(va)
 		visitedSys[vs] = true
 	}
 
@@ -73,14 +92,12 @@ func (m *Mapper) initialAssignment(crit *critical.Analysis) (*schedule.Assignmen
 	// Step 2: grow along critical abstract edges until every abstract node
 	// with critical edges is placed.
 	for {
-		va := m.nextCriticalNode(crit, visitedAbs)
+		va := nextNode(crit.Degree, visitedAbs, critAdj, true)
 		if va == -1 {
 			break
 		}
-		visitedAbs[va] = true
-		vs, adjacent := m.pickSystemNode(va, visitedSys, assign, func(other int) int {
-			return crit.AbsEdge[va][other]
-		})
+		visit(va)
+		vs, adjacent := m.pickSystemNode(va, crit.AbsEdge[va], deg, visitedSys, assign, neighbours)
 		if vs == -1 {
 			// Disconnected critical component: re-seed on the best free
 			// system node. The node cannot be adjacent to a placed critical
@@ -103,14 +120,12 @@ func (m *Mapper) initialAssignment(crit *critical.Analysis) (*schedule.Assignmen
 	// Step 3: place the remaining abstract nodes in descending
 	// communication intensity, preferring neighbours of placed nodes.
 	for {
-		va := m.nextIntensityNode(mca, visitedAbs)
+		va := nextNode(mca, visitedAbs, absAdj, false)
 		if va == -1 {
 			break
 		}
-		visitedAbs[va] = true
-		vs, _ := m.pickSystemNode(va, visitedSys, assign, func(other int) int {
-			return m.abs.Weight[va][other]
-		})
+		visit(va)
+		vs, _ := m.pickSystemNode(va, m.abs.Weight[va], deg, visitedSys, assign, neighbours)
 		if vs == -1 {
 			vs = maxDegreeFreeSys()
 		}
@@ -120,28 +135,22 @@ func (m *Mapper) initialAssignment(crit *critical.Analysis) (*schedule.Assignmen
 	return assign, frozen
 }
 
-// nextCriticalNode returns the unvisited abstract node with the highest
-// critical degree among those adjacent (by critical abstract edge) to a
-// visited node; if no unvisited node with critical edges is adjacent to the
-// placed set but some still exist, it returns the highest-degree one as a
-// re-seed. Returns -1 when every node with critical edges is placed.
-func (m *Mapper) nextCriticalNode(crit *critical.Analysis, visitedAbs []bool) int {
+// nextNode returns the unvisited abstract node with the highest rank among
+// those adjacent to a visited node (adjacent[k]), falling back to the
+// highest-ranked unvisited node as a re-seed, or -1 when none remain; ties
+// go to the lowest ID. Step 2 ranks by critical degree and skips nodes
+// without critical edges (positiveOnly); step 3 ranks by communication
+// intensity over every unvisited node.
+func nextNode(rank []int, visitedAbs, adjacent []bool, positiveOnly bool) int {
 	bestAdj, bestAny := -1, -1
-	for k := 0; k < m.abs.K; k++ {
-		if visitedAbs[k] || crit.Degree[k] == 0 {
+	for k, r := range rank {
+		if visitedAbs[k] || (positiveOnly && r == 0) {
 			continue
 		}
-		if bestAny == -1 || crit.Degree[k] > crit.Degree[bestAny] {
+		if bestAny == -1 || r > rank[bestAny] {
 			bestAny = k
 		}
-		adjacent := false
-		for l := 0; l < m.abs.K; l++ {
-			if visitedAbs[l] && crit.AbsEdge[k][l] > 0 {
-				adjacent = true
-				break
-			}
-		}
-		if adjacent && (bestAdj == -1 || crit.Degree[k] > crit.Degree[bestAdj]) {
+		if adjacent[k] && (bestAdj == -1 || r > rank[bestAdj]) {
 			bestAdj = k
 		}
 	}
@@ -151,39 +160,16 @@ func (m *Mapper) nextCriticalNode(crit *critical.Analysis, visitedAbs []bool) in
 	return bestAny
 }
 
-// nextIntensityNode returns the unvisited abstract node with the largest
-// communication intensity among those adjacent to a visited node, falling
-// back to the globally largest, or -1 when all nodes are placed.
-func (m *Mapper) nextIntensityNode(mca []int, visitedAbs []bool) int {
-	bestAdj, bestAny := -1, -1
-	for k := 0; k < m.abs.K; k++ {
-		if visitedAbs[k] {
-			continue
-		}
-		if bestAny == -1 || mca[k] > mca[bestAny] {
-			bestAny = k
-		}
-		adjacent := false
-		for l := 0; l < m.abs.K; l++ {
-			if visitedAbs[l] && m.abs.HasEdge(k, l) {
-				adjacent = true
-				break
-			}
-		}
-		if adjacent && (bestAdj == -1 || mca[k] > mca[bestAdj]) {
-			bestAdj = k
-		}
-	}
-	if bestAdj != -1 {
-		return bestAdj
-	}
-	return bestAny
-}
+// placedNeighbour is a placed abstract neighbour of the node being placed:
+// its processor and the weight of the edge between them.
+type placedNeighbour struct{ proc, w int }
 
 // pickSystemNode chooses the processor for abstract node va (steps 2(b)/(c)
-// and 3(b)/(c) of §4.3.2). weight supplies the relevant edge weight: the
-// critical abstract edge weight in step 2, the full abstract edge weight in
-// step 3.
+// and 3(b)/(c) of §4.3.2). weight is va's row of the relevant edge weights:
+// the critical abstract edge weights in step 2, the full abstract edge
+// weights in step 3. deg holds the system node degrees and buf is scratch
+// space for va's placed neighbours, both owned by the caller so that a
+// placement allocates nothing per node.
 //
 // The paper's step (b) accepts any free system node that is "a neighbor of
 // some marked node"; when several qualify it ranks by system-node degree
@@ -196,17 +182,14 @@ func (m *Mapper) nextIntensityNode(mca []int, visitedAbs []bool) int {
 // a placed neighbour's processor (the condition under which step 2 marks va
 // as a critical abstract node). Returns (-1, false) when va has no placed
 // neighbour with positive weight.
-func (m *Mapper) pickSystemNode(va int, visitedSys []bool, assign *schedule.Assignment, weight func(other int) int) (proc int, adjacent bool) {
-	deg := m.sys.Degrees()
-
-	type nb struct{ proc, w int }
-	var neighbours []nb
-	for l := 0; l < m.abs.K; l++ {
+func (m *Mapper) pickSystemNode(va int, weight, deg []int, visitedSys []bool, assign *schedule.Assignment, buf []placedNeighbour) (proc int, adjacent bool) {
+	neighbours := buf[:0]
+	for l, w := range weight {
 		if l == va || assign.ProcOf[l] < 0 {
 			continue
 		}
-		if w := weight(l); w > 0 {
-			neighbours = append(neighbours, nb{assign.ProcOf[l], w})
+		if w > 0 {
+			neighbours = append(neighbours, placedNeighbour{assign.ProcOf[l], w})
 		}
 	}
 	if len(neighbours) == 0 {
@@ -214,15 +197,16 @@ func (m *Mapper) pickSystemNode(va int, visitedSys []bool, assign *schedule.Assi
 	}
 
 	best, bestCost, bestAdj := -1, 0, false
-	for v := 0; v < m.sys.NumNodes(); v++ {
-		if visitedSys[v] {
+	for v, used := range visitedSys {
+		if used {
 			continue
 		}
+		distRow, adjRow := m.dist.Dist[v], m.sys.Adj[v]
 		cost := 0
 		adj := false
 		for _, nbr := range neighbours {
-			cost += nbr.w * m.dist.At(v, nbr.proc)
-			if m.sys.Adj[v][nbr.proc] {
+			cost += nbr.w * distRow[nbr.proc]
+			if adjRow[nbr.proc] {
 				adj = true
 			}
 		}

@@ -104,3 +104,45 @@ func FuzzParseSystem(f *testing.F) {
 		}
 	})
 }
+
+// fuzzSeedClusterings returns text forms of known-good clusterings.
+func fuzzSeedClusterings() []string {
+	seeds := []string{
+		"clustering 2 2\nassign 0 0\nassign 1 1\n",
+		"# pair\nclustering 3 2\nassign 0 1\nassign 1 0\nassign 2 1\n",
+		"clustering 1 1\n",
+	}
+	var buf bytes.Buffer
+	if err := WriteClustering(&buf, runningClustering()); err == nil {
+		seeds = append(seeds, buf.String())
+	}
+	return seeds
+}
+
+func FuzzParseClustering(f *testing.F) {
+	for _, seed := range fuzzSeedClusterings() {
+		f.Add(seed)
+	}
+	f.Add("clustering 2 2\nassign 0 0\nassign 1 0\n") // empty cluster: must be rejected
+	f.Add("clustering 2 2\nassign 1 5\n")
+	f.Fuzz(func(t *testing.T, in string) {
+		c, err := ReadClustering(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		if verr := c.Validate(); verr != nil {
+			t.Fatalf("parser accepted an invalid clustering: %v\ninput: %q", verr, in)
+		}
+		var buf bytes.Buffer
+		if werr := WriteClustering(&buf, c); werr != nil {
+			t.Fatalf("cannot format an accepted clustering: %v", werr)
+		}
+		d, rerr := ReadClustering(bytes.NewReader(buf.Bytes()))
+		if rerr != nil {
+			t.Fatalf("formatted clustering does not re-parse: %v\nformatted: %q", rerr, buf.String())
+		}
+		if d.Fingerprint() != c.Fingerprint() {
+			t.Fatalf("round trip changed the clustering:\ninput: %q\nformatted: %q", in, buf.String())
+		}
+	})
+}

@@ -2,10 +2,11 @@ package graph
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
+	"unicode/utf8"
 )
 
 // The text format shared by the cmd/ tools is line-oriented:
@@ -87,10 +88,12 @@ func WriteClustering(w io.Writer, c *Clustering) error {
 }
 
 // ReadProblem parses a problem graph from the text format and validates it.
-func ReadProblem(r io.Reader) (*Problem, error) {
+func ReadProblem(r io.Reader) (*Problem, error) { return readProblem(r, scanLines) }
+
+func readProblem(r io.Reader, scan lineScanner) (*Problem, error) {
 	var p *Problem
-	err := scanLines(r, func(line int, fields []string) error {
-		switch fields[0] {
+	err := scan(r, func(fields [][]byte) error {
+		switch string(fields[0]) {
 		case "problem":
 			if p != nil {
 				return fmt.Errorf("repeated problem header")
@@ -157,10 +160,12 @@ func ReadProblem(r io.Reader) (*Problem, error) {
 }
 
 // ReadSystem parses a system graph from the text format and validates it.
-func ReadSystem(r io.Reader) (*System, error) {
+func ReadSystem(r io.Reader) (*System, error) { return readSystem(r, scanLines) }
+
+func readSystem(r io.Reader, scan lineScanner) (*System, error) {
 	var s *System
-	err := scanLines(r, func(line int, fields []string) error {
-		switch fields[0] {
+	err := scan(r, func(fields [][]byte) error {
+		switch string(fields[0]) {
 		case "system":
 			if s != nil {
 				return fmt.Errorf("repeated system header")
@@ -174,7 +179,7 @@ func ReadSystem(r io.Reader) (*System, error) {
 			}
 			s = NewSystem(n)
 			if len(fields) > 2 {
-				s.Name = strings.Join(fields[2:], " ")
+				s.Name = string(bytes.Join(fields[2:], []byte(" ")))
 			}
 		case "link":
 			if s == nil {
@@ -210,10 +215,12 @@ func ReadSystem(r io.Reader) (*System, error) {
 }
 
 // ReadClustering parses a clustering from the text format and validates it.
-func ReadClustering(r io.Reader) (*Clustering, error) {
+func ReadClustering(r io.Reader) (*Clustering, error) { return readClustering(r, scanLines) }
+
+func readClustering(r io.Reader, scan lineScanner) (*Clustering, error) {
 	var c *Clustering
-	err := scanLines(r, func(line int, fields []string) error {
-		switch fields[0] {
+	err := scan(r, func(fields [][]byte) error {
+		switch string(fields[0]) {
 		case "clustering":
 			if c != nil {
 				return fmt.Errorf("repeated clustering header")
@@ -266,28 +273,66 @@ func ReadClustering(r io.Reader) (*Clustering, error) {
 	return c, nil
 }
 
-func scanLines(r io.Reader, handle func(line int, fields []string) error) error {
+// lineScanner feeds the fields of every non-blank, non-comment line of r
+// to handle, wrapping a handler error with its line number. The fields
+// alias the scanner's buffer and are valid only during the call.
+type lineScanner func(r io.Reader, handle func(fields [][]byte) error) error
+
+// scanLines is the text format's lineScanner. It splits each line in
+// place into a reused field slice, so a line costs no allocation; a line
+// holding a non-ASCII byte (which may encode Unicode white space) is
+// split by bytes.Fields, the same rule strings.Fields applies. Lines may
+// be up to 1 MB long.
+func scanLines(r io.Reader, handle func(fields [][]byte) error) error {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	sc.Buffer(make([]byte, 0, 4096), 1<<20)
+	var fields [][]byte
 	line := 0
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
+		fields = splitFields(sc.Bytes(), fields[:0])
+		if len(fields) == 0 || fields[0][0] == '#' {
 			continue
 		}
-		if err := handle(line, strings.Fields(text)); err != nil {
+		if err := handle(fields); err != nil {
 			return fmt.Errorf("graph: line %d: %w", line, err)
 		}
 	}
 	return sc.Err()
 }
 
-func atoiField(fields []string, idx int, what string) (int, error) {
+// splitFields appends the white-space separated fields of b to fields.
+func splitFields(b []byte, fields [][]byte) [][]byte {
+	for _, c := range b {
+		if c >= utf8.RuneSelf {
+			return append(fields, bytes.Fields(b)...)
+		}
+	}
+	start := -1
+	for i, c := range b {
+		if asciiSpace[c] {
+			if start >= 0 {
+				fields = append(fields, b[start:i])
+				start = -1
+			}
+		} else if start < 0 {
+			start = i
+		}
+	}
+	if start >= 0 {
+		fields = append(fields, b[start:])
+	}
+	return fields
+}
+
+// asciiSpace marks the ASCII white-space bytes unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+func atoiField(fields [][]byte, idx int, what string) (int, error) {
 	if idx >= len(fields) {
 		return 0, fmt.Errorf("missing %s", what)
 	}
-	n, err := strconv.Atoi(fields[idx])
+	n, err := strconv.Atoi(string(fields[idx]))
 	if err != nil {
 		return 0, fmt.Errorf("bad %s %q", what, fields[idx])
 	}

@@ -35,6 +35,24 @@ import "math/bits"
 // re-prices the batch with the full kernel instead; the partially
 // marked positions are cheaply unmarked first. Commits that apply a
 // swap update the cached end times through the same cone walk.
+//
+// A bail is not free: by the time the budget runs out the scan has
+// usually crossed most of the schedule, so a bailed batch costs about
+// two full passes. How often walks bail depends on the instance and on
+// how many lanes a call perturbs. On wide-cone instances (random DAGs
+// under random clustering, where every cluster has tasks near the top of
+// the topological order) the union of eight lane cones almost always
+// outgrows the budget while a single swap's cone — a scalar TrySwap —
+// almost never does. The session therefore keeps one exponential
+// back-off per perturbed-lane count: after a bail, the next 1, then 3,
+// 7, 15, … calls of that width that would have walked go to the full
+// kernel directly, and a walk that completes resets the back-off. On a
+// wide-cone instance the bails over N calls grow as log2 N; on a
+// narrow-cone instance walks keep completing and the back-off stays at
+// zero. If cones narrow after a long wide phase, the next probe comes
+// within as many calls as the phase lasted, so at most half of the delta
+// path's benefit is lost — the usual doubling argument. The rule lives
+// in tryDeltaBatch, so batch and scalar trials share it.
 
 // defaultConeBudget bounds the predecessor-edge records one delta batch
 // may visit before falling back to the full interleaved kernel: half of
@@ -42,6 +60,27 @@ import "math/bits"
 // covers so much of the schedule that the full pass — which touches every
 // edge record exactly once for all eight lanes — is the cheaper evaluator.
 func defaultConeBudget(edges int) int { return edges / 2 }
+
+// backoff is the cone-walk back-off of one call width: skip is how many
+// more would-be walks go straight to the full kernel, length the skip the
+// last bail granted (0, 1, 3, 7, …).
+type backoff struct{ skip, length int }
+
+// bail records a walk that outgrew the budget: double the back-off. The
+// length stops growing at 2^30 only so that it cannot overflow.
+func (b *backoff) bail() {
+	if b.length < 1<<30 {
+		b.length = 2*b.length + 1
+	}
+	b.skip = b.length
+}
+
+// kernelStats counts how a session's kernel calls were priced: cone walks
+// started, walks that bailed out to the full kernel, and calls the full
+// kernel priced (bails, back-off skips and pre-estimate rejections).
+type kernelStats struct {
+	deltaWalks, deltaBails, fullPasses int
+}
 
 // seedCone marks, in s.mask, every topological position directly affected
 // by the candidate swaps (bit i set for lane i), and returns the smallest
@@ -82,8 +121,9 @@ func (s *SwapSession) seedCone(ks, ls *[SwapLanes]int) (int, int) {
 
 // tryDeltaBatch prices the batch by cone re-evaluation, writing the exact
 // totals and reporting true, or reports false — with every mark cleared —
-// when the cone outgrows the budget and the full kernel should price the
-// batch instead. The lane views must be synced to (ks, ls) first; the
+// when the cone outgrows the budget, or the back-off for this many
+// perturbed lanes says to skip the walk, and the full kernel should price
+// the batch instead. The lane views must be synced to (ks, ls) first; the
 // committed end-time cache endC and its prefix and suffix maxima must
 // mirror the incumbent.
 //
@@ -97,13 +137,21 @@ func (s *SwapSession) tryDeltaBatch(ks, ls *[SwapLanes]int, totals *[SwapLanes]i
 	// overhead instead of seeding, scanning and unwinding first. Batches
 	// of independent random pairs on well-connected instances land here;
 	// localized swaps on sparse communication structures proceed.
-	est := 0
+	est, width := 0, 0
 	for lane := 0; lane < SwapLanes; lane++ {
 		if ks[lane] != ls[lane] {
 			est += int(e.affCost[ks[lane]] + e.affCost[ls[lane]])
+			width++
 		}
 	}
 	if est > s.coneBudget {
+		s.fullPasses++
+		return false
+	}
+	bo := &s.backoff[width]
+	if bo.skip > 0 {
+		bo.skip--
+		s.fullPasses++
 		return false
 	}
 	n := len(s.endC)
@@ -133,6 +181,7 @@ func (s *SwapSession) tryDeltaBatch(ks, ls *[SwapLanes]int, totals *[SwapLanes]i
 	succOff, succs := e.succOff, e.succs
 	visited := s.visited[:0]
 	budget := s.coneBudget
+	s.deltaWalks++
 	for t := t0; t < n; t++ {
 		m := mask[t]
 		if m == 0 {
@@ -153,6 +202,9 @@ func (s *SwapSession) tryDeltaBatch(ks, ls *[SwapLanes]int, totals *[SwapLanes]i
 				mask[u] = 0
 			}
 			s.visited = visited[:0]
+			s.deltaBails++
+			s.fullPasses++
+			bo.bail()
 			return false
 		}
 		visited = append(visited, int32(t))
@@ -213,6 +265,7 @@ func (s *SwapSession) tryDeltaBatch(ks, ls *[SwapLanes]int, totals *[SwapLanes]i
 		mask[vt] = 0
 	}
 	s.visited = visited[:0]
+	bo.length = 0
 	for lane := 0; lane < SwapLanes; lane++ {
 		v := totalB[lane]
 		if unmarked > v {

@@ -1,10 +1,14 @@
 package schedule
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 
+	"mimdmap/internal/cluster"
+	"mimdmap/internal/gen"
 	"mimdmap/internal/graph"
+	"mimdmap/internal/paths"
 	"mimdmap/internal/topology"
 )
 
@@ -297,5 +301,110 @@ func TestPricedPairMemoExactAcrossCommits(t *testing.T) {
 		if want := price(1, 5); got != want {
 			t.Fatalf("memoised batch lane %d = %d, evaluator says %d", lane, got, want)
 		}
+	}
+}
+
+// policyRun drives one session through batches of random swaps, checking
+// every total against a session forced onto the full kernel and
+// committing a priced lane every few batches as a refiner would. After
+// each batch it calls check with the session's kernel counters and the
+// number of kernel-priced calls so far (batches served from the
+// priced-pair table never reach a kernel).
+func policyRun(t *testing.T, e *Evaluator, a *Assignment, batches int, seed int64, check func(st kernelStats, calls int)) kernelStats {
+	t.Helper()
+	k := a.K()
+	sess := e.NewSwapSession(a)
+	full := e.NewSwapSession(a)
+	forceFullKernel(full)
+	rng := rand.New(rand.NewSource(seed))
+	var ks, ls, totals, want [SwapLanes]int
+	for b := 0; b < batches; b++ {
+		for l := 0; l < SwapLanes; l++ {
+			ks[l], ls[l] = RandSwapPair(rng, k)
+		}
+		sess.TrySwapBatch(&ks, &ls, &totals)
+		full.TrySwapBatch(&ks, &ls, &want)
+		if totals != want {
+			t.Fatalf("batch %d: totals %v, full kernel says %v", b, totals, want)
+		}
+		if b%4 == 0 {
+			sess.CommitSwap(ks[0], ls[0], totals[0])
+			full.CommitSwap(ks[0], ls[0], want[0])
+		}
+		st := sess.kernelStats
+		check(st, st.deltaWalks-st.deltaBails+st.fullPasses)
+	}
+	return sess.kernelStats
+}
+
+// TestKernelPolicyBacksOffOnWideCones pins the back-off half of the kernel
+// choice: on a random DAG under random clustering almost every eight-lane
+// cone outgrows the budget, and the bails over N kernel calls must grow
+// at most logarithmically in N instead of one per call.
+func TestKernelPolicyBacksOffOnWideCones(t *testing.T) {
+	rng := rand.New(rand.NewSource(1991))
+	p, err := gen.Random(gen.RandomConfig{
+		Tasks: 1000, EdgeProb: 3.0 / 1000, MinTaskSize: 1, MaxTaskSize: 20,
+		MinEdgeWeight: 1, MaxEdgeWeight: 5, Connected: true,
+	}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := topology.Mesh(8, 16)
+	c, err := (&cluster.Random{Rand: rng}).Cluster(p, sys.NumNodes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEvaluator(p, c, paths.New(sys))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := FromPerm(rng.Perm(sys.NumNodes()))
+	st := policyRun(t, e, a, 2000, 7, func(st kernelStats, calls int) {
+		if limit := 2*bits.Len(uint(calls)) + 2; st.deltaBails > limit {
+			t.Fatalf("%d bails over %d kernel calls, want at most %d (logarithmic)", st.deltaBails, calls, limit)
+		}
+	})
+	t.Logf("wide cones: %+v", st)
+	if st.deltaBails < 3 || 2*st.deltaBails < st.deltaWalks {
+		t.Fatalf("counters %+v: the instance should have wide cones that mostly bail", st)
+	}
+}
+
+// pipelines builds a narrow-cone instance: independent chains of `stages`
+// tasks, every task dealt to a random one of k clusters. A swap's cone is
+// the few chains through the two clusters, so walks complete.
+func pipelines(chains, stages, k int, rng *rand.Rand) (*graph.Problem, *graph.Clustering) {
+	n := chains * stages
+	p := graph.NewProblem(n)
+	c := graph.NewClustering(n, k)
+	for i, t := range rng.Perm(n) {
+		c.Of[t] = i % k
+	}
+	for t := 0; t < n; t++ {
+		p.Size[t] = 1 + rng.Intn(20)
+		if t%stages > 0 {
+			p.SetEdge(t-1, t, 1+rng.Intn(5))
+		}
+	}
+	return p, c
+}
+
+// TestKernelPolicyKeepsNarrowConesOnDelta pins the other half: on an
+// instance whose cones stay small, the back-off must not push batches off
+// the delta path — most kernel calls are still priced by the cone walk.
+func TestKernelPolicyKeepsNarrowConesOnDelta(t *testing.T) {
+	rng := rand.New(rand.NewSource(1991))
+	sys := topology.Mesh(8, 16)
+	p, c := pipelines(256, 4, sys.NumNodes(), rng)
+	e, err := NewEvaluator(p, c, paths.New(sys))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := FromPerm(rng.Perm(sys.NumNodes()))
+	st := policyRun(t, e, a, 1000, 7, func(kernelStats, int) {})
+	t.Logf("narrow cones: %+v", st)
+	if delta := st.deltaWalks - st.deltaBails; delta < 9*st.fullPasses || delta == 0 {
+		t.Fatalf("counters %+v: want at least 90%% of kernel calls priced by the cone walk", st)
 	}
 }

@@ -87,8 +87,9 @@ func (v *laneViews) commitAssign(procOf []int) {
 // totals priced since the last commit replay for free), then attempt
 // incremental cone pricing — re-evaluating only the tasks downstream of
 // the two swapped processors against the committed incumbent's cached end
-// times — and fall back to the full pass only when the cone outgrows the
-// session's budget. Totals are exact on every path.
+// times — and fall back to the full pass when the cone outgrows the
+// session's budget, or when recent cones did and the session is backing
+// off from walking them. Totals are exact on every path.
 //
 // Protocol: TrySwap/TrySwapBatch/TryAssign never change the committed
 // state; Commit promotes the most recent TrySwap, CommitSwap accepts a swap
@@ -120,6 +121,11 @@ type SwapSession struct {
 	mask       []uint8
 	visited    []int32
 	coneBudget int
+
+	// Kernel choice (delta.go): the cone-walk back-off for batches that
+	// perturb w lanes is backoff[w]; kernelStats counts the outcomes.
+	backoff [SwapLanes + 1]backoff
+	kernelStats
 
 	// Priced-pair table, the KL-gain-table analogue for this metric: a
 	// swap's exact total depends only on the pair (k, l) and the committed
@@ -212,8 +218,9 @@ func (s *SwapSession) Evaluator() *Evaluator { return s.e }
 // TrySwap returns the exact total time of the incumbent with clusters k and
 // l exchanged, without committing. Call Commit to accept the trial.
 // TrySwap(k, k) prices the incumbent itself. The swap's cone is priced
-// incrementally against the committed end times; a cone past the budget
-// falls back to one full scalar evaluation.
+// incrementally against the committed end times; a cone past the budget,
+// or a call the session's back-off skips (delta.go), falls back to one
+// full scalar evaluation.
 //
 //mapcheck:noalloc
 func (s *SwapSession) TrySwap(k, l int) int {
@@ -311,7 +318,8 @@ func (s *SwapSession) CommitAssign(procOf []int, total int) {
 // priced incrementally (one shared scan re-evaluating only each lane's
 // cone against the committed end times), falling back to the full
 // interleaved evaluation pass when the union of cones outgrows the
-// session's budget. Every path yields exact totals.
+// session's budget or the session is backing off from cone walks of
+// this width. Every path yields exact totals.
 //
 //mapcheck:noalloc
 func (s *SwapSession) TrySwapBatch(ks, ls *[SwapLanes]int, totals *[SwapLanes]int) {
