@@ -87,9 +87,12 @@ bench-replay:
 # portfolio included — the cold-vs-warm serving benchmark and the
 # warm-start remapping benchmark), so none can rot unnoticed. The Table 1
 # portfolio run additionally smokes the multi-start lockstep path (elite
-# exchange across chains), which the single-chain searchbench cannot reach.
+# exchange across chains), which the single-chain searchbench cannot reach,
+# and BenchmarkSearchHeavy runs the search-heavy workload's shape (np=160 on
+# mesh-5x8, portfolio, two chains, 2000 trials) through the same path.
 bench-smoke:
 	$(GO) test -bench Refine -benchtime 10x -run '^$$' ./internal/schedule/
+	$(GO) test -bench SearchHeavy -benchtime 2x -run '^$$' .
 	$(GO) run ./cmd/mapbench -refinebench -bench-quick
 	$(GO) run ./cmd/mapbench -searchbench -bench-quick
 	$(GO) run ./cmd/mapbench -table 1 -refiner portfolio -starts 4 -trials 2 > /dev/null

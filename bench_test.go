@@ -20,6 +20,8 @@ import (
 	"mimdmap/internal/core"
 	"mimdmap/internal/critical"
 	"mimdmap/internal/experiment"
+	"mimdmap/internal/gen"
+	"mimdmap/internal/search"
 )
 
 func reportTable(b *testing.B, run func(experiment.Config) (*experiment.TableResult, error)) {
@@ -535,4 +537,37 @@ func BenchmarkColdMapLarge(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSearchHeavy maps the search-heavy benchmark workload's shape —
+// a Table 2 style instance (np=160) on mesh-5x8 — under the adaptive
+// portfolio with two chains and a 2000-trial budget, so the portfolio's
+// lockstep rounds and every arm's trial loop run on each benchmark pass.
+func BenchmarkSearchHeavy(b *testing.B) {
+	sys := mimdmap.Mesh(5, 8)
+	prob, clus, err := gen.TableInstance(sys.NumNodes(), 1991)
+	if err != nil {
+		b.Fatal(err)
+	}
+	portfolio, err := search.RefinerByName("portfolio")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var res *core.Result
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err = mimdmap.MapParallel(context.Background(), prob, clus, sys, &mimdmap.Options{
+			Refiner:        portfolio,
+			MaxRefinements: 2000,
+			Starts:         2,
+			Workers:        1,
+			Seed:           int64(i) + 1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(res.TotalTime), "total")
+	b.ReportMetric(float64(res.LowerBound), "bound")
 }

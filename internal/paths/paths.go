@@ -18,14 +18,25 @@ type Table struct {
 	Dist [][]int
 }
 
-// New computes the shortest-path table of s by BFS from every node.
-// Complexity O(ns·(ns+links)).
+// New computes the shortest-path table of s by BFS from every node. The
+// neighbour lists are read once from the dense adjacency matrix (O(ns²)),
+// so each BFS visits every node and link once. Complexity O(ns·(ns+links)).
 func New(s *graph.System) *Table {
 	n := s.NumNodes()
 	t := &Table{Dist: make([][]int, n)}
 	cells := make([]int, n*n)
 	for i := range t.Dist {
 		t.Dist[i], cells = cells[:n:n], cells[n:]
+	}
+	off := make([]int, n+1)
+	var nbr []int
+	for v, row := range s.Adj {
+		for w, adj := range row {
+			if adj {
+				nbr = append(nbr, w)
+			}
+		}
+		off[v+1] = len(nbr)
 	}
 	queue := make([]int, 0, n)
 	for src := 0; src < n; src++ {
@@ -38,8 +49,8 @@ func New(s *graph.System) *Table {
 		queue = append(queue, src)
 		for head := 0; head < len(queue); head++ {
 			v := queue[head]
-			for w, adj := range s.Adj[v] {
-				if adj && row[w] == Unreachable {
+			for _, w := range nbr[off[v]:off[v+1]] {
+				if row[w] == Unreachable {
 					row[w] = row[v] + 1
 					queue = append(queue, w)
 				}

@@ -165,6 +165,28 @@ func TestBFSMatchesFloydWarshallProperty(t *testing.T) {
 	}
 }
 
+// TestBFSMatchesFloydWarshallOnNamedTopologies checks the BFS table
+// against the Floyd–Warshall oracle on every topology family the
+// specification strings name.
+func TestBFSMatchesFloydWarshallOnNamedTopologies(t *testing.T) {
+	specs := []string{"hypercube-5", "mesh-5x8", "mesh-8x16", "torus-4x6", "ring-9", "chain-7",
+		"star-10", "complete-8", "btree-15", "ccc-3", "debruijn-5", "petersen", "random-40"}
+	for _, spec := range specs {
+		s, err := topology.ByName(spec, rand.New(rand.NewSource(7)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bfs, fw := New(s), FloydWarshall(s)
+		for i := range bfs.Dist {
+			for j := range bfs.Dist[i] {
+				if bfs.At(i, j) != fw.At(i, j) {
+					t.Fatalf("%s: BFS distance %d→%d is %d, Floyd–Warshall says %d", spec, i, j, bfs.At(i, j), fw.At(i, j))
+				}
+			}
+		}
+	}
+}
+
 func TestClosureDistancesAllOne(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

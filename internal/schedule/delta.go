@@ -34,7 +34,8 @@ import "math/bits"
 // coneBudget (half of all predecessor edge records by default) and
 // re-prices the batch with the full kernel instead; the partially
 // marked positions are cheaply unmarked first. Commits that apply a
-// swap update the cached end times through the same cone walk.
+// swap update the cached end times through the same cone walk, unless a
+// full pass priced that swap last and its ends can be adopted verbatim.
 //
 // A bail is not free: by the time the budget runs out the scan has
 // usually crossed most of the schedule, so a bailed batch costs about
@@ -75,11 +76,15 @@ func (b *backoff) bail() {
 	b.skip = b.length
 }
 
-// kernelStats counts how a session's kernel calls were priced: cone walks
+// kernelStats counts how a session's kernel calls were priced — cone walks
 // started, walks that bailed out to the full kernel, and calls the full
-// kernel priced (bails, back-off skips and pre-estimate rejections).
+// kernel priced (bails, back-off skips and pre-estimate rejections) — and
+// how its swap commits updated the cached end times: by a cone walk, or by
+// adopting the ends of a scalar or a batch pricing pass.
 type kernelStats struct {
 	deltaWalks, deltaBails, fullPasses int
+
+	coneCommits, scalarAdoptions, batchAdoptions int
 }
 
 // seedCone marks, in s.mask, every topological position directly affected

@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"testing"
@@ -51,7 +52,6 @@ func TestDeltaMatchesFullOverRandomSwapSequences(t *testing.T) {
 			oracle := a.Clone()
 
 			var ks, ls, dTotals, fTotals [SwapLanes]int
-			freshEnds := make([]int, len(e.size))
 			perm := make([]int, k)
 			for round := 0; round < 120; round++ {
 				for l := 0; l < SwapLanes; l++ {
@@ -105,30 +105,8 @@ func TestDeltaMatchesFullOverRandomSwapSequences(t *testing.T) {
 					t.Fatalf("%s seed %d round %d: committed totals delta %d full %d, evaluator says %d", sys.Name, seed, round, delta.TotalTime(), full.TotalTime(), want)
 				}
 				// The cached committed end times must mirror a fresh full
-				// evaluation of the incumbent, and the prefix maxima must
-				// be consistent with them.
-				e.fillEnds(oracle.ProcOf, freshEnds)
-				run := 0
-				for i, want := range freshEnds {
-					if delta.endC[i] != want {
-						t.Fatalf("%s seed %d round %d: endC[%d] = %d, fresh rebuild says %d", sys.Name, seed, round, i, delta.endC[i], want)
-					}
-					if want > run {
-						run = want
-					}
-					if delta.prefMax[i] != run {
-						t.Fatalf("%s seed %d round %d: prefMax[%d] = %d, want %d", sys.Name, seed, round, i, delta.prefMax[i], run)
-					}
-				}
-				run = 0
-				for i := len(freshEnds) - 1; i >= 0; i-- {
-					if freshEnds[i] > run {
-						run = freshEnds[i]
-					}
-					if delta.suffMax[i] != run {
-						t.Fatalf("%s seed %d round %d: suffMax[%d] = %d, want %d", sys.Name, seed, round, i, delta.suffMax[i], run)
-					}
-				}
+				// evaluation of the incumbent, with consistent maxima.
+				checkCommittedCache(t, fmt.Sprintf("%s seed %d round %d", sys.Name, seed, round), delta, oracle.ProcOf)
 				// The cone mask must always be fully unwound between trials.
 				for i, m := range delta.mask {
 					if m != 0 {

@@ -93,9 +93,12 @@ func (v *laneViews) commitAssign(procOf []int) {
 //
 // Protocol: TrySwap/TrySwapBatch/TryAssign never change the committed
 // state; Commit promotes the most recent TrySwap, CommitSwap accepts a swap
-// whose exact total the caller already knows (e.g. a TrySwapBatch lane) by
-// re-walking just that swap's cone, and CommitAssign replaces the incumbent
-// wholesale (full-reshuffle moves, annealing restarts, Bokhari jumps). A
+// whose exact total the caller already knows (e.g. a TrySwapBatch lane),
+// and CommitAssign replaces the incumbent wholesale (full-reshuffle moves,
+// annealing restarts, Bokhari jumps). CommitSwap brings the cached end
+// times in line by adopting the ends a full pricing pass of that very swap
+// left behind — when the most recent such pass priced it and nothing has
+// overwritten them since — and otherwise by re-walking the swap's cone. A
 // session allocates only at construction; every Try/Commit method is
 // allocation-free. Sessions share the Evaluator's read-only precomputation,
 // so concurrent refinement chains may each run their own session against
@@ -138,6 +141,15 @@ type SwapSession struct {
 	memoTotal []int
 	memoStamp []uint32
 	memoEpoch uint32
+
+	// Commit adoption: the most recent pricing pass that left a swapped
+	// assignment's complete end times behind — a scalar full pass in
+	// scratch (pricedLanes 1, pair in lane 0) or a full batch pass in endB
+	// (pricedLanes SwapLanes). 0 when the last pass left none or a commit
+	// has made them stale. CommitSwap of a pair listed here copies its ends
+	// instead of walking its cone.
+	pricedK, pricedL [SwapLanes]int
+	pricedLanes      int
 
 	lastK, lastL, lastTotal int
 	pending                 bool
@@ -237,11 +249,13 @@ func (s *SwapSession) TrySwap(k, l int) int {
 	var total int
 	if s.tryDeltaBatch(&ks, &ls, &totals) {
 		total = totals[0]
+		s.pricedLanes = 0
 	} else {
 		a := s.lanes.a
 		a.Swap(k, l)
 		total = s.e.fillEnds(a.ProcOf, s.scratch)
 		a.Swap(k, l)
+		s.pricedK[0], s.pricedL[0], s.pricedLanes = k, l, 1
 	}
 	if s.memoTotal != nil {
 		i := s.memoIdx(k, l)
@@ -260,6 +274,7 @@ func (s *SwapSession) TrySwap(k, l int) int {
 //mapcheck:noalloc
 func (s *SwapSession) TryAssign(procOf []int) int {
 	s.pending = false
+	s.pricedLanes = 0
 	return s.e.fillEnds(procOf, s.scratch)
 }
 
@@ -278,19 +293,57 @@ func (s *SwapSession) Commit() {
 
 // CommitSwap accepts the swap of clusters k and l whose exact total time
 // the caller already knows from a TrySwap or TrySwapBatch lane. It applies
-// the swap to the incumbent and walks the swap's cone once to bring the
-// cached end times (and their prefix maxima) back in line — O(cone), not
-// O(all edges), and allocation-free.
+// the swap to the incumbent and brings the cached end times (and their
+// prefix and suffix maxima) back in line: when the most recent full
+// pricing pass — a scalar fallback or a full batch pass — priced this very
+// swap and no pass or commit has overwritten its ends since, it adopts
+// them (three linear passes, no edge reads); otherwise it walks the swap's
+// cone once — O(cone), not O(all edges). Allocation-free either way.
 //
 //mapcheck:noalloc
 func (s *SwapSession) CommitSwap(k, l, total int) {
 	s.lanes.commitSwap(k, l)
 	if k != l {
-		s.applyConeToCommitted(k, l)
+		if !s.adoptPricedEnds(k, l) {
+			s.applyConeToCommitted(k, l)
+			s.coneCommits++
+		}
 		s.bumpEpoch()
 	}
+	s.pricedLanes = 0
 	s.total = total
 	s.pending = false
+}
+
+// adoptPricedEnds copies into the committed cache the end times the most
+// recent full pricing pass computed for the swap (k, l), if it priced that
+// pair, and rebuilds the prefix and suffix maxima. It reports whether it
+// did.
+//
+//mapcheck:noalloc
+func (s *SwapSession) adoptPricedEnds(k, l int) bool {
+	lane := 0
+	for ; lane < s.pricedLanes; lane++ {
+		pk, pl := s.pricedK[lane], s.pricedL[lane]
+		if (pk == k && pl == l) || (pk == l && pl == k) {
+			break
+		}
+	}
+	switch {
+	case lane == s.pricedLanes:
+		return false
+	case s.pricedLanes == 1:
+		copy(s.endC, s.scratch)
+		s.scalarAdoptions++
+	default:
+		for t, eb := range s.endB {
+			s.endC[t] = eb[lane]
+		}
+		s.batchAdoptions++
+	}
+	s.rebuildPrefMax(0)
+	s.rebuildSuffMax()
+	return true
 }
 
 // CommitAssign replaces the committed incumbent with procOf (copied), whose
@@ -303,6 +356,7 @@ func (s *SwapSession) CommitAssign(procOf []int, total int) {
 	s.lanes.commitAssign(procOf)
 	s.total = total
 	s.pending = false
+	s.pricedLanes = 0
 	s.e.fillEnds(s.lanes.a.ProcOf, s.endC)
 	s.rebuildPrefMax(0)
 	s.rebuildSuffMax()
@@ -338,8 +392,11 @@ func (s *SwapSession) TrySwapBatch(ks, ls *[SwapLanes]int, totals *[SwapLanes]in
 		}
 	}
 	s.lanes.sync(ks, ls)
-	if !s.tryDeltaBatch(ks, ls, totals) {
+	if s.tryDeltaBatch(ks, ls, totals) {
+		s.pricedLanes = 0
+	} else {
 		s.fullSwapBatch(totals)
+		s.pricedK, s.pricedL, s.pricedLanes = *ks, *ls, SwapLanes
 	}
 	if s.memoTotal != nil {
 		for lane := 0; lane < SwapLanes; lane++ {

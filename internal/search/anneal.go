@@ -14,11 +14,15 @@ import (
 // exp(-delta/T) under a geometric cooling schedule. The best assignment
 // ever seen is committed at return.
 //
-// Like the paper refiner, candidates are drawn ahead and priced
-// schedule.SwapLanes at a time; acceptance draws (rng.Float64) happen in
-// resolution order, after the batch's pair draws. The run is deterministic
-// given rng, but the stream differs from a scalar draw-evaluate-accept loop
-// by construction — annealing has no pinned legacy stream to preserve.
+// Like the paper refiner, candidates come from the shared draw-ahead queue
+// (trialQueue): pairs are drawn schedule.SwapLanes at a time and
+// acceptance draws (rng.Float64) happen in resolution order, after the
+// batch's pair draws. The run is deterministic given rng, but the stream
+// differs from a scalar draw-evaluate-accept loop by construction —
+// annealing has no pinned legacy stream to preserve. Annealing accepts most
+// trials, and an accept discards the totals of every candidate behind it,
+// so the queue mostly prices the first trial after an accept alone rather
+// than paying for a batch whose other lanes would be thrown away.
 type Anneal struct {
 	// InitialTemp is the starting temperature. 0 calibrates it from a short
 	// probe walk so roughly 80% of uphill moves are initially accepted.
@@ -38,6 +42,15 @@ func (*Anneal) Name() string { return "anneal" }
 //
 //mapcheck:noalloc
 func (an *Anneal) Refine(ctx context.Context, sess *schedule.SwapSession, b Budget, rng *rand.Rand) Trace {
+	var q trialQueue
+	return an.refine(ctx, sess, b, rng, &q)
+}
+
+// refine is Refine over a caller-owned queue, so tests can read its
+// pricing counters.
+//
+//mapcheck:noalloc
+func (an *Anneal) refine(ctx context.Context, sess *schedule.SwapSession, b Budget, rng *rand.Rand, q *trialQueue) Trace {
 	cooling := an.Cooling
 	if cooling == 0 {
 		cooling = 0.995
@@ -118,77 +131,40 @@ func (an *Anneal) Refine(ctx context.Context, sess *schedule.SwapSession, b Budg
 		}
 	}
 
-	const lanes = schedule.SwapLanes
-	var ks, ls, totals [lanes]int
-	var queue [lanes][2]int
-	// drawn counts every candidate charged to the budget — calibration
-	// probes included — so drawing stops exactly at b.Trials even when the
+	// The queue's draw count starts at the calibration probes already
+	// charged, so drawing stops exactly at b.Trials even when the
 	// remaining budget is not a whole batch.
-	qlen, drawn := 0, tr.Trials
+	*q = newTrialQueue(sess, free, rng, b.Trials, tr.Trials)
 	for tr.Trials < b.Trials && temp > minTemp {
-		if ctx.Err() != nil {
+		k, l, total, ok := q.next(ctx)
+		if !ok {
 			break
 		}
-		for qlen < lanes && drawn < b.Trials {
-			i, j := schedule.RandSwapPair(rng, len(free))
-			queue[qlen] = [2]int{free[i], free[j]}
-			qlen++
-			drawn++
+		tr.Trials++
+		if b.RecordTrials {
+			tr.Totals = append(tr.Totals, total)
 		}
-		batched := qlen == lanes
-		if batched {
-			for idx := 0; idx < lanes; idx++ {
-				ks[idx], ls[idx] = queue[idx][0], queue[idx][1]
-			}
-			sess.TrySwapBatch(&ks, &ls, &totals)
+		if !b.DisableTermination && total == b.LowerBound {
+			tr.Improved++
+			tr.Final = total
+			tr.AtBound = true
+			sess.CommitSwap(k, l, total)
+			return tr
 		}
-		resolved := 0
-		accepted := false
-		for idx := 0; idx < qlen && temp > minTemp; idx++ {
-			k, l := queue[idx][0], queue[idx][1]
-			var total int
-			if batched {
-				total = totals[idx]
-			} else {
-				total = sess.TrySwap(k, l)
+		delta := total - cur
+		take := delta <= 0 || rng.Float64() < math.Exp(-float64(delta)/temp)
+		temp *= cooling
+		if take {
+			if delta < 0 {
+				tr.Improved++ // the trial lowered the incumbent total
 			}
-			tr.Trials++
-			resolved++
-			if b.RecordTrials {
-				tr.Totals = append(tr.Totals, total)
-			}
-			if !b.DisableTermination && total == b.LowerBound {
-				tr.Improved++
-				tr.Final = total
-				tr.AtBound = true
-				sess.CommitSwap(k, l, total)
-				return tr
-			}
-			delta := total - cur
-			take := delta <= 0 || rng.Float64() < math.Exp(-float64(delta)/temp)
-			temp *= cooling
-			if take {
-				if delta < 0 {
-					tr.Improved++ // the trial lowered the incumbent total
-				}
-				cur = total
-				sess.CommitSwap(k, l, total)
-				if cur < bestTotal {
-					bestTotal = cur
-					copy(bestProc, sess.ProcOf())
-				}
-				if batched {
-					// The remaining lanes were priced against the old
-					// incumbent; requeue them for exact re-evaluation.
-					accepted = true
-					break
-				}
+			cur = total
+			q.commit(k, l, total)
+			if cur < bestTotal {
+				bestTotal = cur
+				copy(bestProc, sess.ProcOf())
 			}
 		}
-		if accepted {
-			copy(queue[:], queue[resolved:qlen])
-		}
-		qlen -= resolved
 	}
 	if bestTotal < sess.TotalTime() {
 		sess.CommitAssign(bestProc, bestTotal)

@@ -12,16 +12,16 @@ import (
 // iff it does not worsen the total time (strictly improves — "keep if
 // better"), and stop early when a trial reaches the lower bound.
 //
-// Trials are priced through the session's batch kernel: almost every trial
-// is a rejected perturbation of the same incumbent, so candidate swaps are
-// drawn ahead and evaluated schedule.SwapLanes at a time in one interleaved
-// pass. Trials still resolve strictly in draw order against the incumbent
-// they would have seen sequentially — when a trial is accepted, the
-// not-yet-resolved candidates of its batch are re-priced against the new
+// Trials come from the shared draw-ahead queue (trialQueue): candidate
+// swaps are drawn schedule.SwapLanes at a time and priced lazily, almost
+// always as one interleaved batch because almost every trial is a rejected
+// perturbation of the same incumbent. Trials still resolve strictly in
+// draw order against the incumbent they would have seen sequentially —
+// after an accept, the unresolved candidates are re-priced against the new
 // incumbent — so results are bit-identical to trial-at-a-time refinement,
-// including the random stream (drawing consumes rng in draw order;
-// evaluation consumes none). This is the exact loop core.Mapper ran before
-// the strategy seam existed, pinned by the mapper's determinism tests.
+// including the random stream (drawing consumes rng in draw order; pricing
+// consumes none). This is the exact loop core.Mapper ran before the
+// strategy seam existed, pinned by the mapper's determinism tests.
 type Paper struct{}
 
 // Name implements Refiner.
@@ -30,72 +30,44 @@ func (Paper) Name() string { return "paper" }
 // Refine implements Refiner.
 //
 //mapcheck:noalloc
-func (Paper) Refine(ctx context.Context, sess *schedule.SwapSession, b Budget, rng *rand.Rand) Trace {
+func (p Paper) Refine(ctx context.Context, sess *schedule.SwapSession, b Budget, rng *rand.Rand) Trace {
+	var q trialQueue
+	return p.refine(ctx, sess, b, rng, &q)
+}
+
+// refine is Refine over a caller-owned queue, so tests can read its
+// pricing counters.
+//
+//mapcheck:noalloc
+func (Paper) refine(ctx context.Context, sess *schedule.SwapSession, b Budget, rng *rand.Rand, q *trialQueue) Trace {
 	tr := Trace{Final: sess.TotalTime()}
 	//mapcheck:allow per-run free-cluster list, amortized over the trial budget
 	free := b.free(sess)
 	if len(free) < 2 || b.Trials <= 0 {
 		return tr
 	}
-	const lanes = schedule.SwapLanes
-	var ks, ls, totals [lanes]int
-	var queue [lanes][2]int // drawn but unresolved candidate swaps
-	qlen, drawn := 0, 0
+	*q = newTrialQueue(sess, free, rng, b.Trials, 0)
 	for tr.Trials < b.Trials {
-		if ctx.Err() != nil {
+		k, l, total, ok := q.next(ctx)
+		if !ok {
 			break
 		}
-		for qlen < lanes && drawn < b.Trials {
-			i, j := schedule.RandSwapPair(rng, len(free))
-			queue[qlen] = [2]int{free[i], free[j]}
-			qlen++
-			drawn++
+		tr.Trials++
+		if b.RecordTrials {
+			tr.Totals = append(tr.Totals, total)
 		}
-		batched := qlen == lanes
-		if batched {
-			for idx := 0; idx < lanes; idx++ {
-				ks[idx], ls[idx] = queue[idx][0], queue[idx][1]
-			}
-			sess.TrySwapBatch(&ks, &ls, &totals)
+		if !b.DisableTermination && total == b.LowerBound {
+			tr.Improved++
+			tr.Final = total
+			tr.AtBound = true
+			sess.CommitSwap(k, l, total)
+			return tr
 		}
-		resolved := 0
-		accepted := false
-		for idx := 0; idx < qlen; idx++ {
-			k, l := queue[idx][0], queue[idx][1]
-			var total int
-			if batched {
-				total = totals[idx]
-			} else {
-				total = sess.TrySwap(k, l)
-			}
-			tr.Trials++
-			resolved++
-			if b.RecordTrials {
-				tr.Totals = append(tr.Totals, total)
-			}
-			if !b.DisableTermination && total == b.LowerBound {
-				tr.Improved++
-				tr.Final = total
-				tr.AtBound = true
-				sess.CommitSwap(k, l, total)
-				return tr
-			}
-			if total < tr.Final {
-				tr.Improved++
-				tr.Final = total
-				sess.CommitSwap(k, l, total)
-				if batched {
-					// The remaining lanes were priced against the old
-					// incumbent; requeue them for exact re-evaluation.
-					accepted = true
-					break
-				}
-			}
+		if total < tr.Final {
+			tr.Improved++
+			tr.Final = total
+			q.commit(k, l, total)
 		}
-		if accepted {
-			copy(queue[:], queue[resolved:qlen])
-		}
-		qlen -= resolved
 	}
 	return tr
 }
