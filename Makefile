@@ -10,7 +10,7 @@ GO ?= go
 #   make bench-search BENCH_LABEL=portfolio
 BENCH_LABEL ?=
 
-.PHONY: all build test race vet lint vuln bench bench-refine bench-search bench-serve bench-remap bench-replay bench-smoke bench-module fuzz-smoke ci clean
+.PHONY: all build test race vet lint vuln bench bench-refine bench-search bench-serve bench-remap bench-replay bench-smoke bench-module fuzz-smoke examples-smoke ci clean
 
 all: ci
 
@@ -119,7 +119,17 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRemapRequest$$' -fuzztime 10s ./cmd/mapserve/
 	$(GO) test -run '^$$' -fuzz '^FuzzForwardRequest$$' -fuzztime 10s ./cmd/mapserve/
 
-ci: build vet lint test race bench-smoke bench-module fuzz-smoke
+# Run every program under examples/ once. They are the documented entry
+# points into the library facade, and `go build ./...` only compiles them;
+# this catches one that errors or panics at run time. Output is discarded:
+# a non-zero exit fails the target.
+examples-smoke:
+	@for d in examples/*/; do \
+		echo "examples-smoke: $$d"; \
+		$(GO) run "./$$d" > /dev/null || exit 1; \
+	done
+
+ci: build vet lint test race bench-smoke bench-module fuzz-smoke examples-smoke
 
 clean:
 	$(GO) clean ./...

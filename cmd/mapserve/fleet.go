@@ -20,6 +20,8 @@ import (
 	"time"
 
 	"mimdmap"
+	"mimdmap/internal/fleet"
+	"mimdmap/internal/service"
 )
 
 // forwardRequest is the wire form of POST /fleet/solve: a solveRequest
@@ -46,7 +48,7 @@ func toForwardWire(req *mimdmap.Request) (*forwardRequest, bool) {
 	if o.Rand != nil || o.Refiner != nil || o.Delays != nil || o.Dist != nil {
 		return nil, false
 	}
-	if o.DisableTermination || o.RecordTrials || o.Move != 0 || o.Seed != 0 {
+	if o.DisableTermination || o.RecordTrials || o.Seed != 0 {
 		return nil, false
 	}
 	if o.Propagation != mimdmap.PaperPropagation && o.Propagation != mimdmap.FullPropagation {
@@ -148,7 +150,7 @@ func fromWireResponse(wire *solveResponse, req *mimdmap.Request) *mimdmap.Respon
 	}
 }
 
-// forwardBody bounds how much of a peer error body travels into the error.
+// forwardErrBody bounds how much of a peer error body travels into the error.
 const forwardErrBody = 512
 
 // newForwardHook builds the Solver.Forward hook for fleet mode: ring-route
@@ -158,7 +160,7 @@ const forwardErrBody = 512
 // error, which the pipeline counts and converts into a local solve, so a
 // mid-restart fleet degrades to independent replicas instead of failing
 // requests.
-func newForwardHook(ring *mimdmap.FleetRing, client *http.Client) mimdmap.ForwardFunc {
+func newForwardHook(ring *fleet.Ring, client *http.Client) service.ForwardFunc {
 	if client == nil {
 		client = &http.Client{}
 	}

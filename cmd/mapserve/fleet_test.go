@@ -95,7 +95,7 @@ func TestFleetHTTPByteIdenticalAndSingleExecution(t *testing.T) {
 		t.Fatalf("solo solve: status %d: %s", status, want)
 	}
 
-	srvs, urls := newHTTPFleet(t, 3, serverConfig{limit: 4})
+	srvs, urls := newHTTPFleet(t, 3, serverConfig{limit: 4, queue: 64})
 	for i, u := range urls {
 		status, got := postSolve(t, u, body)
 		if status != http.StatusOK {
@@ -120,7 +120,7 @@ func TestFleetHTTPByteIdenticalAndSingleExecution(t *testing.T) {
 // repeat on the forwarding replica replays the replicated fill as a hit.
 func TestFleetHTTPForwardedHeaders(t *testing.T) {
 	body := fleetSolveBody(t)
-	srvs, urls := newHTTPFleet(t, 2, serverConfig{limit: 4})
+	srvs, urls := newHTTPFleet(t, 2, serverConfig{limit: 4, queue: 64})
 
 	var wire solveRequest
 	if err := json.Unmarshal([]byte(body), &wire); err != nil {
@@ -188,7 +188,6 @@ func TestOverloadShedsWith503(t *testing.T) {
 	srv, err := newServer(context.Background(), mimdmap.NewSolver(0), serverConfig{
 		limit:     1,
 		queue:     0,
-		queueSet:  true,
 		queueWait: 20 * time.Millisecond,
 	})
 	if err != nil {
@@ -394,7 +393,6 @@ func TestForwardWireDeclinesUnrepresentable(t *testing.T) {
 	cases := map[string]func(r *mimdmap.Request){
 		"no_cache":      func(r *mimdmap.Request) { r.NoCache = true },
 		"omit_schedule": func(r *mimdmap.Request) { r.OmitSchedule = true },
-		"move":          func(r *mimdmap.Request) { r.Options.Move = 3 },
 		"record_trials": func(r *mimdmap.Request) { r.Options.RecordTrials = true },
 	}
 	for name, mutate := range cases {
@@ -463,7 +461,6 @@ func TestSaturatedOwnerFallsBackLocal(t *testing.T) {
 	srvs, urls := newHTTPFleet(t, 2, serverConfig{
 		limit:     1,
 		queue:     0,
-		queueSet:  true,
 		queueWait: 20 * time.Millisecond,
 	})
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"mimdmap"
+	"mimdmap/internal/fleet"
 )
 
 // postJSON posts body to url and returns status + body.
@@ -189,7 +190,7 @@ func TestJobStoreBoundsAndTTL(t *testing.T) {
 	solver := mimdmap.NewSolver(0)
 	// Two solve slots, no shed queue: saturating both via Acquire below
 	// leaves NoShed job requests waiting inside the solver's admit stage.
-	solver.Admission = mimdmap.NewAdmission(2, 0, time.Minute, nil)
+	solver.Admission = fleet.NewAdmission(2, 0, time.Minute, nil)
 	store := newJobStore(context.Background(), solver, 1, 30*time.Millisecond, nil)
 
 	req := &mimdmap.Request{Problem: prob, Topology: "mesh-2x3", Clusterer: "blocks", Seed: 3}
@@ -329,7 +330,7 @@ func TestJobStoreShutdown(t *testing.T) {
 	_, prob := serveInstance(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	solver := mimdmap.NewSolver(0)
-	solver.Admission = mimdmap.NewAdmission(1, 0, time.Minute, nil)
+	solver.Admission = fleet.NewAdmission(1, 0, time.Minute, nil)
 	if err := solver.Admission.Acquire(context.Background()); err != nil {
 		t.Fatal(err) // the only slot is taken forever
 	}

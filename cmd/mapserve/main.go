@@ -97,6 +97,7 @@ import (
 	"time"
 
 	"mimdmap"
+	"mimdmap/internal/fleet"
 )
 
 // errUsage signals that the flag package already printed the parse error
@@ -163,7 +164,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		jobCap:    *jobCap,
 		jobTTL:    *jobTTL,
 		queue:     *queue,
-		queueSet:  true,
 		queueWait: *queueWait,
 		self:      strings.TrimRight(strings.TrimSpace(*self), "/"),
 		peers:     peerList,
@@ -338,15 +338,15 @@ func strategyDocs(names []string, doc func(string) string) map[string]string {
 // coalescing counters, the job store's, admission control, per-endpoint
 // latency histograms, and — in fleet mode — the fleet section.
 type statsResponse struct {
-	Cache     mimdmap.SolverStats                  `json:"cache"`
-	Jobs      jobCounters                          `json:"jobs"`
-	Admission mimdmap.AdmissionStats               `json:"admission"`
-	Latency   map[string]mimdmap.HistogramSnapshot `json:"latency"`
-	Fleet     *fleetStats                          `json:"fleet,omitempty"`
+	Cache     mimdmap.SolverStats                `json:"cache"`
+	Jobs      jobCounters                        `json:"jobs"`
+	Admission fleet.AdmissionStats               `json:"admission"`
+	Latency   map[string]fleet.HistogramSnapshot `json:"latency"`
+	Fleet     *fleetStats                        `json:"fleet,omitempty"`
 }
 
 // serverConfig carries the handler's bounds; zero job fields get the
-// defaults of newJobStore, zero admission fields the defaults below.
+// defaults of newJobStore, a zero queueWait the default below.
 type serverConfig struct {
 	limit   int
 	workers int
@@ -354,11 +354,10 @@ type serverConfig struct {
 	jobTTL  time.Duration
 
 	// queue and queueWait shape admission control: how many requests may
-	// wait for a solve slot beyond the -max-concurrent in flight (0 with
-	// queueSet false = 64), and how long one may wait before being shed
-	// (0 = 1s).
+	// wait for a solve slot beyond the -max-concurrent in flight (taken as
+	// given; the -queue flag defaults to 64), and how long one may wait
+	// before being shed (0 = 1s).
 	queue     int
-	queueSet  bool
 	queueWait time.Duration
 
 	// self and peers switch on fleet mode when peers has ≥ 2 entries:
@@ -381,8 +380,8 @@ type serverConfig struct {
 type server struct {
 	solver    *mimdmap.Solver
 	jobs      *jobStore
-	admission *mimdmap.Admission
-	ring      *mimdmap.FleetRing // nil in single-process mode
+	admission *fleet.Admission
+	ring      *fleet.Ring // nil in single-process mode
 	metrics   *endpointMetrics
 	handler   http.Handler
 }
@@ -395,22 +394,18 @@ type server struct {
 // execution; run keeps it alive through the drain so jobs finish before
 // exit.
 func newServer(ctx context.Context, solver *mimdmap.Solver, cfg serverConfig) (*server, error) {
-	queue := cfg.queue
-	if !cfg.queueSet && queue == 0 {
-		queue = 64
-	}
 	queueWait := cfg.queueWait
 	if queueWait <= 0 {
 		queueWait = time.Second
 	}
 	s := &server{
 		solver:    solver,
-		admission: mimdmap.NewAdmission(cfg.limit, queue, queueWait, cfg.clock),
+		admission: fleet.NewAdmission(cfg.limit, cfg.queue, queueWait, cfg.clock),
 		metrics:   newEndpointMetrics(cfg.clock),
 	}
 	solver.Admission = s.admission
 	if len(cfg.peers) > 0 {
-		ring, err := mimdmap.NewFleetRing(cfg.self, cfg.peers)
+		ring, err := fleet.NewRing(cfg.self, cfg.peers)
 		if err != nil {
 			return nil, err
 		}
@@ -602,7 +597,7 @@ func (s *server) writeSolveError(w http.ResponseWriter, err error) {
 		writeError(w, http.StatusBadRequest, verr.Error())
 		return
 	}
-	if errors.Is(err, mimdmap.ErrSaturated) {
+	if errors.Is(err, fleet.ErrSaturated) {
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", int(s.admission.RetryAfter().Seconds())))
 		writeError(w, http.StatusServiceUnavailable, err.Error())
 		return
@@ -620,7 +615,7 @@ func (s *server) writeSolveError(w http.ResponseWriter, err error) {
 // never take a lock.
 type endpointMetrics struct {
 	clock func() time.Time
-	hists map[string]*mimdmap.Histogram
+	hists map[string]*fleet.Histogram
 }
 
 // endpointNames is the fixed set of instrumented endpoints.
@@ -630,9 +625,9 @@ func newEndpointMetrics(clock func() time.Time) *endpointMetrics {
 	if clock == nil {
 		clock = time.Now
 	}
-	m := &endpointMetrics{clock: clock, hists: make(map[string]*mimdmap.Histogram, len(endpointNames))}
+	m := &endpointMetrics{clock: clock, hists: make(map[string]*fleet.Histogram, len(endpointNames))}
 	for _, name := range endpointNames {
-		m.hists[name] = &mimdmap.Histogram{}
+		m.hists[name] = &fleet.Histogram{}
 	}
 	return m
 }
@@ -649,8 +644,8 @@ func (m *endpointMetrics) wrap(name string, h http.HandlerFunc) http.HandlerFunc
 
 // snapshot reads every endpoint's histogram (JSON maps serialize sorted by
 // key, so /stats bodies stay deterministically ordered).
-func (m *endpointMetrics) snapshot() map[string]mimdmap.HistogramSnapshot {
-	out := make(map[string]mimdmap.HistogramSnapshot, len(m.hists))
+func (m *endpointMetrics) snapshot() map[string]fleet.HistogramSnapshot {
+	out := make(map[string]fleet.HistogramSnapshot, len(m.hists))
 	for name, h := range m.hists {
 		out[name] = h.Snapshot()
 	}

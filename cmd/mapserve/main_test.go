@@ -41,7 +41,7 @@ func serveInstance(t *testing.T) (string, *mimdmap.Problem) {
 
 func newTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	srv := httptest.NewServer(newHandler(context.Background(), mimdmap.NewSolver(0), serverConfig{limit: 4}))
+	srv := httptest.NewServer(newHandler(context.Background(), mimdmap.NewSolver(0), serverConfig{limit: 4, queue: 64}))
 	t.Cleanup(srv.Close)
 	return srv
 }

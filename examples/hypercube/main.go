@@ -70,8 +70,7 @@ func main() {
 	mean, _, best := mimdmap.RandomMapping(eval, 10, rng)
 	fmt.Printf("random mapping (10 trials): mean %.0f (%.1f%%), best %d (%.1f%%)\n",
 		mean, 100*mean/float64(res.LowerBound), best, pct(best, res.LowerBound))
-	_, saTime := mimdmap.Anneal(mimdmap.RandomAssignment(clus.K, rng),
-		eval.TotalTime, mimdmap.AnnealOptions{}, rng)
+	_, saTime := mimdmap.Anneal(eval, mimdmap.AnnealOptions{}, rng)
 	fmt.Printf("simulated annealing:        %d (%.1f%%)\n", saTime, pct(saTime, res.LowerBound))
 	fmt.Printf("\nimprovement over random mean: %.0f percentage points\n",
 		100*mean/float64(res.LowerBound)-pct(res.TotalTime, res.LowerBound))

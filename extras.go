@@ -71,20 +71,15 @@ func CommCost(e *Evaluator, phases [][]int, a *Assignment) int {
 	return baseline.CommCost(e, phases, a)
 }
 
-// PairwiseExchange performs steepest-descent pairwise-exchange search on an
-// arbitrary objective. movable[k]==false pins cluster k (nil: all movable);
-// maxRounds 0 means run to a local optimum.
-func PairwiseExchange(start *Assignment, obj func(*Assignment) int, movable []bool, maxRounds int) (*Assignment, int) {
-	return baseline.PairwiseExchange(start, obj, movable, maxRounds)
-}
-
 // AnnealOptions configures simulated annealing.
 type AnnealOptions = baseline.AnnealOptions
 
-// Anneal minimises obj over assignments by simulated annealing (refs [3]
-// and [14] of the paper) starting from start.
-func Anneal(start *Assignment, obj func(*Assignment) int, opts AnnealOptions, rng *rand.Rand) (*Assignment, int) {
-	return baseline.Anneal(start, obj, opts, rng)
+// Anneal minimises the total time by simulated annealing (refs [3] and [14]
+// of the paper) from a random assignment, running the registered "anneal"
+// search strategy; opts.Steps is its trial budget. It returns the best
+// assignment seen and its total time. Deterministic given rng.
+func Anneal(e *Evaluator, opts AnnealOptions, rng *rand.Rand) (*Assignment, int) {
+	return baseline.AnnealTotalTime(e, opts, rng)
 }
 
 // RandomAssignment returns a uniformly random cluster→processor bijection.

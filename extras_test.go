@@ -61,12 +61,7 @@ func TestBaselinesFacade(t *testing.T) {
 	if got := mimdmap.CommCost(e, phases, a); got != cost {
 		t.Fatal("comm cost inconsistent")
 	}
-	start := mimdmap.RandomAssignment(4, rng)
-	improved, tt := mimdmap.PairwiseExchange(start, e.TotalTime, nil, 0)
-	if e.TotalTime(improved) != tt || tt > e.TotalTime(start) {
-		t.Fatal("pairwise exchange inconsistent")
-	}
-	ann, at := mimdmap.Anneal(start, e.TotalTime, mimdmap.AnnealOptions{Steps: 100}, rng)
+	ann, at := mimdmap.Anneal(e, mimdmap.AnnealOptions{Steps: 100}, rng)
 	if e.TotalTime(ann) != at {
 		t.Fatal("anneal inconsistent")
 	}

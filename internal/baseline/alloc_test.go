@@ -48,39 +48,25 @@ func TestRandomMappingAllocationFlat(t *testing.T) {
 	}
 }
 
-// TestPairwiseExchangeAllocationFlat: the generic engine clones exactly
-// once at entry; unlimited sweeps must not allocate beyond that.
+// TestPairwiseExchangeAllocationFlat: the scalar descent clones exactly
+// once at entry; a long descent must not allocate more than one that starts
+// at a local optimum and stops after a single sweep.
 func TestPairwiseExchangeAllocationFlat(t *testing.T) {
 	e := allocInstance(t)
 	start := schedule.FromPerm(rand.New(rand.NewSource(9)).Perm(16))
 	obj := e.TotalTime
-	measure := func(rounds int) float64 {
+	optimum, _ := pairwiseDescent(start, obj)
+	measure := func(from *schedule.Assignment) float64 {
 		return testing.AllocsPerRun(5, func() {
-			PairwiseExchange(start, obj, nil, rounds)
+			pairwiseDescent(from, obj)
 		})
 	}
-	one, unlimited := measure(1), measure(0)
-	if unlimited > one {
-		t.Fatalf("PairwiseExchange allocations scale with sweeps: %v at 1 round, %v unlimited", one, unlimited)
+	oneSweep, descent := measure(optimum), measure(start)
+	if descent > oneSweep {
+		t.Fatalf("pairwiseDescent allocations scale with sweeps: %v for one sweep, %v for a full descent", oneSweep, descent)
 	}
-	if one > 4 {
-		t.Fatalf("PairwiseExchange allocates %v objects per call, want only the entry clone", one)
-	}
-}
-
-// TestMinTotalTimeExchangeAllocationFlat: each restart allocates one
-// session; the sweeps inside it are allocation-free, so deeper descents
-// cost nothing extra. Measured at one restart with a fixed start.
-func TestMinTotalTimeExchangeAllocationFlat(t *testing.T) {
-	e := allocInstance(t)
-	allocs := testing.AllocsPerRun(5, func() {
-		MinTotalTimeExchange(e, 1, rand.New(rand.NewSource(11)))
-	})
-	// One rng, one start buffer, one session, one best copy — construction
-	// only. The bound is deliberately loose against Go-version drift but
-	// catches any per-trial allocation (hundreds of trials per descent).
-	if allocs > 24 {
-		t.Fatalf("MinTotalTimeExchange allocates %v objects per restart, want construction-only", allocs)
+	if oneSweep > 4 {
+		t.Fatalf("pairwiseDescent allocates %v objects per call, want only the entry clone", oneSweep)
 	}
 }
 

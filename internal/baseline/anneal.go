@@ -2,7 +2,6 @@ package baseline
 
 import (
 	"context"
-	"math"
 	"math/rand"
 
 	"mimdmap/internal/schedule"
@@ -36,81 +35,6 @@ func (o *AnnealOptions) defaults(k int) {
 	if o.MinTemp == 0 {
 		o.MinTemp = 1e-3
 	}
-}
-
-// Anneal minimises obj over cluster→processor bijections with simulated
-// annealing using the swap neighbourhood, starting from start. It returns
-// the best assignment seen and its objective value. Deterministic given rng.
-//
-// This is the generic-objective scalar engine; total-time annealing should
-// ride the batched swap kernel instead (the registered "anneal" search
-// strategy, which AnnealTotalTime wraps).
-func Anneal(start *schedule.Assignment, obj Objective, opts AnnealOptions, rng *rand.Rand) (*schedule.Assignment, int) {
-	k := start.K()
-	opts.defaults(k)
-	cur := start.Clone()
-	curCost := obj(cur)
-	best := cur.Clone()
-	bestCost := curCost
-
-	if k < 2 {
-		return best, bestCost
-	}
-
-	temp := opts.InitialTemp
-	if temp == 0 {
-		temp = calibrateTemp(cur, obj, rng)
-	}
-
-	for step := 0; step < opts.Steps && temp > opts.MinTemp; step++ {
-		i := rng.Intn(k)
-		j := rng.Intn(k - 1)
-		if j >= i {
-			j++
-		}
-		cur.Swap(i, j)
-		cost := obj(cur)
-		delta := cost - curCost
-		if delta <= 0 || rng.Float64() < math.Exp(-float64(delta)/temp) {
-			curCost = cost
-			if curCost < bestCost {
-				bestCost = curCost
-				copy(best.ProcOf, cur.ProcOf)
-			}
-		} else {
-			cur.Swap(i, j) // reject
-		}
-		temp *= opts.Cooling
-	}
-	return best, bestCost
-}
-
-// calibrateTemp samples random swaps to estimate the typical uphill cost
-// delta, and returns the temperature at which such a move is accepted with
-// probability ~0.8.
-func calibrateTemp(a *schedule.Assignment, obj Objective, rng *rand.Rand) float64 {
-	k := a.K()
-	probe := a.Clone()
-	base := obj(probe)
-	sum, count := 0.0, 0
-	for t := 0; t < 32; t++ {
-		i := rng.Intn(k)
-		j := rng.Intn(k - 1)
-		if j >= i {
-			j++
-		}
-		probe.Swap(i, j)
-		if d := obj(probe) - base; d > 0 {
-			sum += float64(d)
-			count++
-		}
-		probe.Swap(i, j)
-	}
-	if count == 0 {
-		return 1.0
-	}
-	mean := sum / float64(count)
-	return -mean / math.Log(0.8)
 }
 
 // AnnealTotalTime is simulated annealing on the total execution time

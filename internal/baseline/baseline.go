@@ -1,12 +1,10 @@
 package baseline
 
 import (
-	"context"
 	"math"
 	"math/rand"
 
 	"mimdmap/internal/schedule"
-	"mimdmap/internal/search"
 )
 
 // RandomAssignment returns a uniformly random bijection of k clusters onto k
@@ -44,50 +42,6 @@ func RandomMapping(e *schedule.Evaluator, trials int, rng *rand.Rand) (mean floa
 	return float64(sum) / float64(trials), best, bestTime
 }
 
-// Objective scores an assignment; searchers minimise it.
-type Objective func(*schedule.Assignment) int
-
-// PairwiseExchange performs steepest-descent pairwise-exchange search from
-// start: repeatedly evaluate every pair swap, apply the best improving one,
-// and stop at a local optimum or after maxRounds full sweeps (0 means
-// unlimited). movable[k]==false pins cluster k (nil means all movable).
-// It returns the improved assignment and its objective value.
-//
-// This is the generic-objective scalar engine, for arbitrary Objective
-// closures; it clones exactly once, at entry, and its sweeps reuse that
-// buffer. Total-time descent should ride the batched swap kernel instead
-// (search.Pairwise over a SwapSession, as MinTotalTimeExchange does), and
-// cardinality ascent the batched CardSession (MaxCardinality, Bokhari).
-func PairwiseExchange(start *schedule.Assignment, obj Objective, movable []bool, maxRounds int) (*schedule.Assignment, int) {
-	cur := start.Clone()
-	curCost := obj(cur)
-	k := cur.K()
-	for round := 0; maxRounds <= 0 || round < maxRounds; round++ {
-		bestI, bestJ, bestCost := -1, -1, curCost
-		for i := 0; i < k; i++ {
-			if movable != nil && !movable[i] {
-				continue
-			}
-			for j := i + 1; j < k; j++ {
-				if movable != nil && !movable[j] {
-					continue
-				}
-				cur.Swap(i, j)
-				if c := obj(cur); c < bestCost {
-					bestI, bestJ, bestCost = i, j, c
-				}
-				cur.Swap(i, j)
-			}
-		}
-		if bestI == -1 {
-			break // local optimum
-		}
-		cur.Swap(bestI, bestJ)
-		curCost = bestCost
-	}
-	return cur, curCost
-}
-
 // MaxCardinality searches for an assignment maximising Bokhari's cardinality
 // measure: the number of clustered problem edges mapped onto single system
 // edges. It runs restarts random restarts of pairwise-exchange ascent over
@@ -117,39 +71,4 @@ func MaxCardinality(e *schedule.Evaluator, restarts int, rng *rand.Rand) (*sched
 		}
 	}
 	return best, bestCard
-}
-
-// MinTotalTimeExchange is the refinement alternative the paper compares
-// against (§4.3.3): pairwise exchange descending on total time, restarted
-// from random assignments. Each descent runs the registered pairwise
-// strategy over a batched SwapSession, so restarts price their sweeps
-// through the same zero-allocation kernel as the refinement loop. Returns
-// the best assignment and total time.
-func MinTotalTimeExchange(e *schedule.Evaluator, restarts int, rng *rand.Rand) (*schedule.Assignment, int) {
-	if restarts <= 0 {
-		restarts = 1
-	}
-	k := e.Clus.K
-	start := schedule.NewAssignment(k)
-	sess := e.NewSwapSession(start) // one session; restarts re-seed it via CommitAssign
-	var best *schedule.Assignment
-	bestTime := math.MaxInt
-	descend := search.Pairwise{}
-	for r := 0; r < restarts; r++ {
-		schedule.RandPermInto(rng, start.ProcOf)
-		sess.CommitAssign(start.ProcOf, sess.TryAssign(start.ProcOf))
-		tr := descend.Refine(context.Background(), sess, search.Budget{
-			Trials:             math.MaxInt,
-			DisableTermination: true, // no known bound
-		}, rng)
-		if tr.Final < bestTime {
-			if best == nil {
-				best = schedule.FromPerm(sess.ProcOf())
-			} else {
-				copy(best.ProcOf, sess.ProcOf())
-			}
-			bestTime = tr.Final
-		}
-	}
-	return best, bestTime
 }

@@ -112,7 +112,7 @@ func TestRandomMappingPanicsOnZeroTrials(t *testing.T) {
 func TestPairwiseExchangeDescends(t *testing.T) {
 	e := cardInstance(t)
 	start := schedule.FromPerm([]int{3, 1, 0, 2})
-	got, cost := PairwiseExchange(start, e.TotalTime, nil, 0)
+	got, cost := pairwiseDescent(start, e.TotalTime)
 	if cost > e.TotalTime(start) {
 		t.Fatalf("exchange worsened: %d > %d", cost, e.TotalTime(start))
 	}
@@ -126,28 +126,7 @@ func TestPairwiseExchangeDescends(t *testing.T) {
 	}
 	// Start must be untouched.
 	if !start.Equal(schedule.FromPerm([]int{3, 1, 0, 2})) {
-		t.Fatal("PairwiseExchange mutated its start")
-	}
-}
-
-func TestPairwiseExchangeRespectsMovable(t *testing.T) {
-	e := cardInstance(t)
-	start := schedule.FromPerm([]int{0, 1, 2, 3})
-	movable := []bool{false, true, true, false} // pin clusters 0 and 3
-	got, _ := PairwiseExchange(start, e.TotalTime, movable, 0)
-	if got.ProcOf[0] != 0 || got.ProcOf[3] != 3 {
-		t.Fatalf("pinned clusters moved: %v", got.ProcOf)
-	}
-}
-
-func TestPairwiseExchangeMaxRounds(t *testing.T) {
-	e := cardInstance(t)
-	start := schedule.FromPerm([]int{3, 1, 0, 2})
-	// One round applies at most one swap.
-	_, oneRound := PairwiseExchange(start, e.TotalTime, nil, 1)
-	_, unlimited := PairwiseExchange(start, e.TotalTime, nil, 0)
-	if oneRound < unlimited {
-		t.Fatal("bounded search beat unlimited search")
+		t.Fatal("pairwiseDescent mutated its start")
 	}
 }
 
@@ -168,21 +147,10 @@ func TestMaxCardinalityFindsForcedStretch(t *testing.T) {
 	}
 }
 
-func TestMinTotalTimeExchangeReachesOptimum(t *testing.T) {
-	e := cardInstance(t)
-	_, total := MinTotalTimeExchange(e, 4, rand.New(rand.NewSource(3)))
-	if total != 8 {
-		t.Fatalf("total = %d, want 8", total)
-	}
-}
-
 func TestSearchersNeverBeatLowerBoundProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		e, bound := randomInstance(rng, 16)
-		if _, total := MinTotalTimeExchange(e, 2, rng); total < bound {
-			return false
-		}
 		if _, total := AnnealTotalTime(e, AnnealOptions{Steps: 200}, rng); total < bound {
 			return false
 		}

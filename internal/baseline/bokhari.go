@@ -33,7 +33,7 @@ type BokhariOptions struct {
 // session's committed incumbent — sweep every pair through the batch
 // kernel, commit the best strictly-improving exchange, repeat until a local
 // optimum — and returns the local optimum's cardinality. The sweep order
-// and first-strict-winner tie-breaking match the generic PairwiseExchange
+// and first-strict-winner tie-breaking match the scalar pairwiseDescent
 // loop, so results are unchanged; only the pricing is batched.
 func cardAscend(sess *schedule.CardSession, k int) int {
 	const lanes = schedule.SwapLanes

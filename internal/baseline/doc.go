@@ -7,20 +7,22 @@
 //   - A Lee-style phased communication-cost minimiser (ref [2], §2.2):
 //     pairwise exchanges minimising the sum over phases of the maximum
 //     weighted distance in each phase.
-//   - Pairwise exchange on total time: the refinement alternative the paper
-//     reports to be weaker than its random-change refinement (§4.3.3).
 //   - Simulated annealing on total time (refs [3], [14]): a strong generic
 //     optimiser included as an extension baseline.
 //
-// All searchers are deterministic given their *rand.Rand, and all of them
-// hammer the same evaluation kernels the mapper uses. The total-time
-// searchers (MinTotalTimeExchange, AnnealTotalTime) run registered search
-// strategies from internal/search over a batched schedule.SwapSession;
-// the cardinality searchers (Bokhari, MaxCardinality) sweep pairs through
-// the batched schedule.CardSession; only the generic-objective engines
-// (PairwiseExchange, Anneal over an arbitrary Objective closure, the Lee
-// comm-cost minimiser) price scalar trials. Baseline comparisons thus
-// measure strategy quality rather than evaluator overhead. Searchers that
+// No total-time search engine lives here: annealing, pairwise exchange and
+// the paper's random-change refinement are registered strategies of
+// internal/search over a batched schedule.SwapSession, and
+// AnnealTotalTime only draws a random start and runs the "anneal" strategy
+// from it. What remains in this package are the
+// objectives that kernel does not price: cardinality (Bokhari,
+// MaxCardinality), which sweeps pairs through the batched
+// schedule.CardSession, and the Lee comm cost (MinCommCost), the one
+// scalar engine left, since its phased objective has no batched kernel.
+// Baseline comparisons thus measure strategy quality rather than
+// evaluator overhead.
+//
+// All searchers are deterministic given their *rand.Rand. Searchers that
 // need fresh random permutations reuse one assignment buffer via
 // schedule.RandPermInto, which consumes their generator exactly as
 // rand.Perm would; the AllocsPerRun regression tests pin that the trial

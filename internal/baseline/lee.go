@@ -87,12 +87,42 @@ func MinCommCost(e *schedule.Evaluator, restarts int, rng *rand.Rand) (*schedule
 	bestCost := -1
 	for r := 0; r < restarts; r++ {
 		start := RandomAssignment(e.Clus.K, rng)
-		a, cost := PairwiseExchange(start, func(x *schedule.Assignment) int {
+		a, cost := pairwiseDescent(start, func(x *schedule.Assignment) int {
 			return CommCost(e, phases, x)
-		}, nil, 0)
+		})
 		if bestCost == -1 || cost < bestCost {
 			best, bestCost = a, cost
 		}
 	}
 	return best, bestCost
+}
+
+// pairwiseDescent is steepest-descent pairwise exchange on an arbitrary
+// objective: evaluate every pair swap, apply the best strictly improving
+// one, and repeat until a local optimum. It returns the local optimum and
+// its objective value, and leaves start untouched. The phased comm cost
+// has no batched kernel, so this scalar loop is its engine; total-time
+// descent runs search.Pairwise over a SwapSession instead. It clones once,
+// at entry, and its sweeps reuse that buffer.
+func pairwiseDescent(start *schedule.Assignment, obj func(*schedule.Assignment) int) (*schedule.Assignment, int) {
+	cur := start.Clone()
+	curCost := obj(cur)
+	k := cur.K()
+	for {
+		bestI, bestJ, bestCost := -1, -1, curCost
+		for i := 0; i < k; i++ {
+			for j := i + 1; j < k; j++ {
+				cur.Swap(i, j)
+				if c := obj(cur); c < bestCost {
+					bestI, bestJ, bestCost = i, j, c
+				}
+				cur.Swap(i, j)
+			}
+		}
+		if bestI == -1 {
+			return cur, curCost // local optimum
+		}
+		cur.Swap(bestI, bestJ)
+		curCost = bestCost
+	}
 }

@@ -13,37 +13,6 @@ import (
 	"mimdmap/internal/search"
 )
 
-// RefineMove selects the random change applied per refinement trial
-// (§4.3.3 step 4a). The paper's wording — "randomly assign the non-critical
-// abstract nodes to the system nodes which are not occupied by critical
-// abstract nodes" — reads as a full random reshuffle of the movable part;
-// a single random swap per trial is the gentler hill-climbing reading that
-// preserves the initial assignment's structure. Both are provided; the
-// ablation benches compare them.
-type RefineMove int
-
-const (
-	// RandomSwap exchanges the processors of two random movable clusters
-	// per trial (default: it dominates FullReshuffle empirically and keeps
-	// the "random changes, keep if better" character of §4.3.3).
-	RandomSwap RefineMove = iota
-	// FullReshuffle randomly re-permutes all movable clusters every trial —
-	// the literal reading of §4.3.3 step 4(a).
-	FullReshuffle
-)
-
-// String returns the move name.
-func (m RefineMove) String() string {
-	switch m {
-	case RandomSwap:
-		return "random-swap"
-	case FullReshuffle:
-		return "full-reshuffle"
-	default:
-		return "unknown"
-	}
-}
-
 // Options configures the mapper. The zero value reproduces the paper's
 // algorithm (Paper propagation, ns refinement trials, random-change
 // refinement with the termination condition on).
@@ -55,13 +24,10 @@ type Options struct {
 	// default of ns trials ("a total of ns changes are allowed", §4.3.3);
 	// negative disables refinement entirely (initial assignment only).
 	MaxRefinements int
-	// Move selects the refinement move (see RefineMove). It is shorthand
-	// for the two paper-faithful strategies; Refiner overrides it.
-	Move RefineMove
 	// Refiner selects the local-search strategy that improves the initial
 	// assignment, plugged in over the batched swap kernel. nil means the
-	// strategy Move names: the paper's §4.3.3 random-change refinement
-	// (search.Paper), or search.FullReshuffle when Move is FullReshuffle.
+	// paper's §4.3.3 random-change refinement (search.Paper);
+	// search.FullReshuffle is the literal reading of its step 4(a).
 	// Instances must be safe for concurrent chains (see search.Refiner);
 	// use search.RefinerByName to resolve registered strategy names.
 	Refiner search.Refiner
@@ -329,13 +295,10 @@ func (m *Mapper) analyse() (*Result, error) {
 }
 
 // refiner resolves the strategy one refinement chain runs: Options.Refiner
-// when set, otherwise the paper-faithful strategy Options.Move names.
+// when set, otherwise the paper's random-change refinement.
 func (m *Mapper) refiner() search.Refiner {
 	if m.opts.Refiner != nil {
 		return m.opts.Refiner
-	}
-	if m.opts.Move == FullReshuffle {
-		return search.FullReshuffle{}
 	}
 	return search.Paper{}
 }

@@ -9,6 +9,7 @@ import (
 	"mimdmap/internal/critical"
 	"mimdmap/internal/graph"
 	"mimdmap/internal/paths"
+	"mimdmap/internal/search"
 	"mimdmap/internal/topology"
 )
 
@@ -231,14 +232,14 @@ func TestMaxRefinementsNegativeDisablesRefinement(t *testing.T) {
 }
 
 func TestRefinementNeverWorsens(t *testing.T) {
-	for _, move := range []RefineMove{RandomSwap, FullReshuffle} {
-		move := move
+	for _, refiner := range []search.Refiner{search.Paper{}, search.FullReshuffle{}} {
+		refiner := refiner
 		prop := func(seed int64) bool {
 			rng := rand.New(rand.NewSource(seed))
 			p, c := randomClusteredInstance(rng, 25)
 			sys := topology.Random(c.K, 0.15, rng)
 			m, err := New(p, c, sys, Options{
-				Move:           move,
+				Refiner:        refiner,
 				MaxRefinements: 3 * c.K,
 				Rand:           rand.New(rand.NewSource(seed + 9)),
 			})
@@ -252,7 +253,7 @@ func TestRefinementNeverWorsens(t *testing.T) {
 			return res.TotalTime <= res.InitialTotalTime
 		}
 		if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
-			t.Fatalf("move %v: %v", move, err)
+			t.Fatalf("refiner %s: %v", refiner.Name(), err)
 		}
 	}
 }
@@ -295,15 +296,6 @@ func TestPropagationModesBothWork(t *testing.T) {
 		if res.Critical.Mode != mode {
 			t.Fatalf("analysis mode = %v, want %v", res.Critical.Mode, mode)
 		}
-	}
-}
-
-func TestRefineMoveStringer(t *testing.T) {
-	if RandomSwap.String() != "random-swap" || FullReshuffle.String() != "full-reshuffle" {
-		t.Fatal("RefineMove names wrong")
-	}
-	if RefineMove(9).String() != "unknown" {
-		t.Fatal("unknown move name wrong")
 	}
 }
 

@@ -157,3 +157,28 @@ func TestAblationReportRenders(t *testing.T) {
 		}
 	}
 }
+
+// TestAblationE8Pinned pins the E8 line — the paper's random-change
+// refinement against one steepest-descent pairwise sweep from the same
+// initial assignment — at two master seeds, so a change to either
+// refinement path shows up as a changed figure.
+func TestAblationE8Pinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("ablation suite is slow")
+	}
+	for _, tc := range []struct {
+		seed int64
+		want string
+	}{
+		{1991, "   random-change (paper): 109.3%   pairwise-exchange: 109.8%\n"},
+		{7, "   random-change (paper): 112.0%   pairwise-exchange: 112.5%\n"},
+	} {
+		out, err := AblationReport(Config{MasterSeed: tc.seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out, "E8 refinement strategy (mean % over bound, 11 mesh instances):\n"+tc.want) {
+			t.Fatalf("seed %d: E8 line changed, want %q in:\n%s", tc.seed, tc.want, out)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package search
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -183,6 +184,76 @@ func TestFullReshuffleMatchesScalarReference(t *testing.T) {
 			}
 			if got, want := rng.Int63(), refRng.Int63(); got != want {
 				t.Fatal("random streams diverged")
+			}
+		}
+	}
+}
+
+// refPairwise is the scalar steepest-descent loop total-time pairwise
+// exchange ran on before it moved onto the batch kernel: sweep every pair
+// of free clusters in order, commit the first strictly best exchange, and
+// stop at a local optimum or after maxRounds sweeps (0 means unlimited).
+// Pinned clusters never move because only free pairs are tried.
+func refPairwise(ev *schedule.Evaluator, a *schedule.Assignment, free []int, maxRounds int) (trials, improved, total int) {
+	total = ev.TotalTime(a)
+	for round := 0; maxRounds <= 0 || round < maxRounds; round++ {
+		bestK, bestL, bestT := -1, -1, total
+		for i := 0; i < len(free); i++ {
+			for j := i + 1; j < len(free); j++ {
+				k, l := free[i], free[j]
+				a.Swap(k, l)
+				trials++
+				if tt := ev.TotalTime(a); tt < bestT {
+					bestK, bestL, bestT = k, l, tt
+				}
+				a.Swap(k, l)
+			}
+		}
+		if bestK == -1 {
+			break // local optimum
+		}
+		a.Swap(bestK, bestL)
+		improved++
+		total = bestT
+	}
+	return
+}
+
+func TestPairwiseMatchesScalarReference(t *testing.T) {
+	systems := []struct {
+		name string
+		sys  *graph.System
+	}{
+		{"mesh-4x4", topology.Mesh(4, 4)},
+		{"hypercube-5", topology.Hypercube(5)},
+	}
+	for _, s := range systems {
+		// Pin every third cluster; the rest may move.
+		var free []int
+		for k := 0; k < s.sys.NumNodes(); k++ {
+			if k%3 != 1 {
+				free = append(free, k)
+			}
+		}
+		for _, seed := range []int64{1, 7, 1991} {
+			for _, rounds := range []int{0, 1, 2} {
+				ev, start := instance(t, s.sys, seed)
+				refA := start.Clone()
+				refTrials, refImproved, refTotal := refPairwise(ev.Fork(), refA, free, rounds)
+
+				sess := ev.NewSwapSession(start)
+				tr := Pairwise{MaxRounds: rounds}.Refine(context.Background(), sess,
+					Budget{Trials: math.MaxInt, Free: free, LowerBound: 1}, rand.New(rand.NewSource(seed)))
+
+				if tr.Trials != refTrials || tr.Improved != refImproved || tr.Final != refTotal {
+					t.Fatalf("%s seed %d rounds %d: trace {%d %d %d}, reference {%d %d %d}",
+						s.name, seed, rounds, tr.Trials, tr.Improved, tr.Final, refTrials, refImproved, refTotal)
+				}
+				for k, p := range sess.ProcOf() {
+					if refA.ProcOf[k] != p {
+						t.Fatalf("%s seed %d rounds %d: assignment diverges at cluster %d", s.name, seed, rounds, k)
+					}
+				}
 			}
 		}
 	}

@@ -196,7 +196,11 @@ func canonicalKey(req *Request, seed int64) string {
 	o := &req.Options
 	h.Int(int(o.Propagation))
 	h.Int(o.MaxRefinements)
-	h.Int(int(o.Move))
+	// A literal 0 fills the slot where a since-removed refinement-move
+	// option was hashed. It keeps every request digest unchanged, including
+	// the pinned goldens, so replicas running older and newer versions
+	// still agree on who owns each fingerprint; the domain tag stays as is.
+	h.Int(0)
 	h.Bool(o.DisableTermination)
 	h.Bool(o.RecordTrials)
 	h.Int(o.Starts)

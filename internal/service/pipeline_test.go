@@ -443,7 +443,6 @@ func TestCanonicalKeySensitivity(t *testing.T) {
 		"refiner":         func(r *Request) { r.Refiner = "pairwise" },
 		"starts":          func(r *Request) { r.Options.Starts = 4 },
 		"max-refinements": func(r *Request) { r.Options.MaxRefinements = 3 },
-		"move":            func(r *Request) { r.Options.Move = 1 },
 		"record-trials":   func(r *Request) { r.Options.RecordTrials = true },
 		"omit-schedule":   func(r *Request) { r.OmitSchedule = true },
 		"problem": func(r *Request) {

@@ -55,7 +55,7 @@ type Request struct {
 	// Refiner names a registered search strategy (see RefinerByName) that
 	// improves the initial assignment — "paper", "pairwise", "anneal", ….
 	// Empty means the mapper's default, the paper's §4.3.3 random-change
-	// refinement (or whatever Options.Move/Options.Refiner select).
+	// refinement (or whatever Options.Refiner selects).
 	// Mutually exclusive with Options.Refiner.
 	Refiner string
 

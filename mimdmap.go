@@ -127,15 +127,6 @@ const (
 	FullPropagation = critical.Full
 )
 
-// Refinement moves (Options.Move).
-const (
-	// RandomSwap swaps two random movable clusters per refinement trial.
-	RandomSwap = core.RandomSwap
-	// FullReshuffle re-permutes all movable clusters per trial — the
-	// literal reading of §4.3.3 step 4(a).
-	FullReshuffle = core.FullReshuffle
-)
-
 // NewProblem returns a problem graph with n tasks and no edges.
 func NewProblem(n int) *Problem { return graph.NewProblem(n) }
 

@@ -41,9 +41,13 @@ func TestMapQuickstart(t *testing.T) {
 
 func TestMapWithOptions(t *testing.T) {
 	p := quickstartProblem()
+	reshuffle, err := mimdmap.RefinerByName("full-reshuffle")
+	if err != nil {
+		t.Fatal(err)
+	}
 	opts := &mimdmap.Options{
 		Propagation:    mimdmap.FullPropagation,
-		Move:           mimdmap.FullReshuffle,
+		Refiner:        reshuffle,
 		MaxRefinements: 10,
 		Rand:           rand.New(rand.NewSource(3)),
 	}
