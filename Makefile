@@ -3,14 +3,7 @@
 
 GO ?= go
 
-# Label the bench targets record their trajectory entries under (empty =
-# "current"). The flag plumbing has always honored -bench-label, but the
-# targets never passed it, so every recorded entry in BENCH_*.json was
-# indistinguishable from the seed entry. Usage:
-#   make bench-search BENCH_LABEL=portfolio
-BENCH_LABEL ?=
-
-.PHONY: all build test race vet lint vuln bench bench-refine bench-search bench-serve bench-remap bench-replay bench-smoke bench-module fuzz-smoke examples-smoke ci clean
+.PHONY: all build test race vet lint vuln bench bench-smoke bench-module fuzz-smoke examples-smoke ci clean
 
 all: ci
 
@@ -50,55 +43,19 @@ vuln:
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 
-# Measure the refinement hot path (median of 3) and append the entry to
-# the recorded trajectory. See the README's "Performance & tuning".
-bench-refine:
-	$(GO) run ./cmd/mapbench -refinebench -bench-out BENCH_refine.json -bench-label "$(BENCH_LABEL)"
-
-# Measure every registered search strategy on the batched swap kernel
-# (median of 3, ns/trial + trials/sec per refiner) and append the entry to
-# the recorded trajectory.
-bench-search:
-	$(GO) run ./cmd/mapbench -searchbench -bench-out BENCH_search.json -bench-label "$(BENCH_LABEL)"
-
-# Measure the service layer's cold-vs-warm serving throughput (full staged
-# pipeline vs response-cache replay) and append the entry to the recorded
-# trajectory.
-bench-serve:
-	$(GO) run ./cmd/mapbench -servebench -bench-out BENCH_serve.json -bench-label "$(BENCH_LABEL)"
-
-# Measure warm-start remapping against cold re-solving on perturbed
-# workloads (service.Remap with the projected incumbent vs a full
-# multi-start solve) and append the entry to the recorded trajectory.
-bench-remap:
-	$(GO) run ./cmd/mapbench -remapbench -bench-out BENCH_serve.json -bench-label "$(BENCH_LABEL)"
-
-# Replay a synthetic million-request stream (hit/miss/remap mix over the
-# Table 1–3 workloads) against an in-process multi-replica fleet —
-# consistent-hash cache ownership, peer forwarding, bounded admission —
-# and append the entry (throughput vs a single replica, latency
-# percentiles, shed rate) to the recorded trajectory.
-bench-replay:
-	$(GO) run ./cmd/mapbench -replaybench -bench-out BENCH_serve.json -bench-label "$(BENCH_LABEL)"
-
-# Fast benchmark gate for CI: the Go refinement benchmarks at a short
-# benchtime plus one quick pass of each harness (refinement kernel, the
-# per-refiner search benchmark — which covers every registered strategy,
-# portfolio included — the cold-vs-warm serving benchmark and the
-# warm-start remapping benchmark), so none can rot unnoticed. The Table 1
-# portfolio run additionally smokes the multi-start lockstep path (elite
-# exchange across chains), which the single-chain searchbench cannot reach,
-# and BenchmarkSearchHeavy runs the search-heavy workload's shape (np=160 on
-# mesh-5x8, portfolio, two chains, 2000 trials) through the same path.
+# Fast benchmark gate for CI: the refinement-kernel benchmarks
+# (BenchmarkRefine*, trials on the five Table 1–3 machines plus the scalar
+# paths) and the search-strategy benchmark (BenchmarkRefiners: every
+# registered refiner, portfolio included, on three of those machines) at a
+# short benchtime, so none can rot unnoticed. BenchmarkSearchHeavy runs the search-heavy workload's shape
+# (np=160 on mesh-5x8, portfolio, two chains, 2000 trials), and the Table 1
+# portfolio run smokes the multi-start lockstep path (elite exchange across
+# chains), which the single-chain BenchmarkRefiners cannot reach.
 bench-smoke:
 	$(GO) test -bench Refine -benchtime 10x -run '^$$' ./internal/schedule/
+	$(GO) test -run '^$$' -bench Refiners -benchtime 64x ./internal/search/
 	$(GO) test -bench SearchHeavy -benchtime 2x -run '^$$' .
-	$(GO) run ./cmd/mapbench -refinebench -bench-quick
-	$(GO) run ./cmd/mapbench -searchbench -bench-quick
 	$(GO) run ./cmd/mapbench -table 1 -refiner portfolio -starts 4 -trials 2 > /dev/null
-	$(GO) run ./cmd/mapbench -servebench -bench-quick
-	$(GO) run ./cmd/mapbench -remapbench -bench-quick
-	$(GO) run ./cmd/mapbench -replaybench -bench-quick
 
 # The repository benchmark (bench/) is its own Go module, so `go test ./...`
 # at the root neither builds nor tests it. Vet and test it here, so an API

@@ -1,6 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation,
-// plus the DESIGN.md ablations. Each benchmark reports the headline numbers
-// as custom metrics so `go test -bench .` reproduces the evaluation:
+// plus the E8–E10 ablations (listed in internal/experiment). Each benchmark
+// reports the headline numbers as custom metrics so `go test -bench .`
+// reproduces the evaluation:
 //
 //	ours%/bound    mean total time of our strategy, % of the lower bound
 //	random%/bound  mean total time of random mapping, % of the lower bound
@@ -166,7 +167,7 @@ func BenchmarkAblationRefinement(b *testing.B) {
 }
 
 // BenchmarkAblationPropagation (E9): Paper versus Full critical-edge
-// propagation (DESIGN.md faithfulness note).
+// propagation; critical.Propagation documents how the two modes differ.
 func BenchmarkAblationPropagation(b *testing.B) {
 	ins := ablationInstances(b)
 	var paperPct, fullPct float64

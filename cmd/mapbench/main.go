@@ -1,6 +1,7 @@
 // Command mapbench regenerates the paper's evaluation: Tables 1–3 with
 // their Figs. 25–27 histograms, the §2.2 counterexample figures, the §4
-// running example, and the ablation experiments listed in DESIGN.md.
+// running example, and the ablation experiments listed in the
+// internal/experiment package doc.
 //
 // Usage:
 //
@@ -13,19 +14,6 @@
 //	mapbench -seed 7 -trials 25  # change master seed / random trials
 //	mapbench -workers 8          # cap the experiment fan-out (0 = all CPUs)
 //	mapbench -starts 4           # multi-start refinement chains per mapping
-//	mapbench -refinebench -bench-out BENCH_refine.json
-//	                             # measure the refinement hot path and append
-//	                             # the trajectory entry (see -bench-label)
-//	mapbench -servebench -bench-out BENCH_serve.json
-//	                             # measure the service layer's cold-vs-warm
-//	                             # serving throughput
-//	mapbench -remapbench -bench-out BENCH_serve.json
-//	                             # measure warm-start remapping vs cold
-//	                             # re-solving on perturbed workloads
-//	mapbench -replaybench -bench-out BENCH_serve.json
-//	                             # replay a synthetic request stream against
-//	                             # an in-process multi-replica fleet and
-//	                             # record throughput, latency and shedding
 //
 // Independent experiments fan out across -workers goroutines; the output
 // is byte-identical at any worker count because every instance derives its
@@ -33,6 +21,12 @@
 // covers every strategy in the shared clusterer registry
 // (mimdmap.ClustererNames), the same source of truth mapper, mapgen and
 // mapserve resolve names against.
+//
+// mapbench reproduces results; it does not time anything. Kernel timings
+// are Go benchmarks (go test -bench RefineTrial ./internal/schedule/ and
+// go test -bench Refiners ./internal/search/), and end-to-end and
+// per-layer timings come from the repository benchmark (bash bench/run.sh,
+// with --trace 1 for the layer breakdown).
 package main
 
 import (
@@ -60,20 +54,12 @@ func main() {
 
 // benchFlags is the parsed command line.
 type benchFlags struct {
-	cfg         experiment.Config
-	table       int
-	fig         string
-	ablation    bool
-	extension   bool
-	sweep       bool
-	refinebench bool
-	searchbench bool
-	servebench  bool
-	remapbench  bool
-	replaybench bool
-	benchOut    string
-	benchLabel  string
-	benchQuick  bool
+	cfg       experiment.Config
+	table     int
+	fig       string
+	ablation  bool
+	extension bool
+	sweep     bool
 }
 
 // parseFlags parses args into the experiment configuration and selectors.
@@ -93,14 +79,6 @@ func parseFlags(args []string) (benchFlags, error) {
 		workers    = fs.Int("workers", 0, "max concurrent experiments (0 = all CPUs, 1 = sequential)")
 		starts     = fs.Int("starts", 0, "multi-start refinement chains per mapping in the table, extension and sweep experiments (0 or 1 = single chain)")
 		refiner    = fs.String("refiner", "", "search strategy refining the table and sweep mappings (default: the paper's random-change refinement): "+experiment.RefinerUsage())
-		refine     = fs.Bool("refinebench", false, "run only the refinement hot-path benchmark (batched swap trials on Table 1-3 style workloads)")
-		searchb    = fs.Bool("searchbench", false, "run only the search-strategy benchmark (trials/sec of every registered refiner; see -bench-out)")
-		serveb     = fs.Bool("servebench", false, "run only the serving-throughput benchmark (cold vs warm solves/sec of the service layer; see -bench-out)")
-		remapb     = fs.Bool("remapbench", false, "run only the remapping benchmark (warm-start vs cold re-solve on perturbed workloads; see -bench-out)")
-		replayb    = fs.Bool("replaybench", false, "run only the fleet replay benchmark (multi-replica cache sharding vs a single replica on a synthetic request stream; see -bench-out)")
-		benchOut   = fs.String("bench-out", "", "with -refinebench/-searchbench/-servebench/-remapbench/-replaybench: append the measured entry to this JSON trajectory file (e.g. BENCH_refine.json, BENCH_search.json, BENCH_serve.json); empty = print only")
-		benchLabel = fs.String("bench-label", "", "with -refinebench/-searchbench/-servebench/-remapbench/-replaybench: label of the recorded entry (default \"current\")")
-		benchQuick = fs.Bool("bench-quick", false, "with -refinebench/-searchbench/-servebench/-remapbench/-replaybench: fast single-pass measurement for CI smoke tests")
 	)
 	if err := fs.Parse(args); err != nil {
 		return benchFlags{}, err
@@ -116,19 +94,11 @@ func parseFlags(args []string) (benchFlags, error) {
 			Starts:        *starts,
 			Refiner:       *refiner,
 		},
-		table:       *table,
-		fig:         *fig,
-		ablation:    *ablation,
-		extension:   *extension,
-		sweep:       *sweep,
-		refinebench: *refine,
-		searchbench: *searchb,
-		servebench:  *serveb,
-		remapbench:  *remapb,
-		replaybench: *replayb,
-		benchOut:    *benchOut,
-		benchLabel:  *benchLabel,
-		benchQuick:  *benchQuick,
+		table:     *table,
+		fig:       *fig,
+		ablation:  *ablation,
+		extension: *extension,
+		sweep:     *sweep,
 	}, nil
 }
 
@@ -145,21 +115,6 @@ func run(args []string, stdout io.Writer) error {
 
 func report(f benchFlags, w io.Writer) error {
 	cfg := f.cfg
-	if f.refinebench {
-		return refineBenchReport(w, cfg.MasterSeed, f.benchLabel, f.benchOut, f.benchQuick)
-	}
-	if f.searchbench {
-		return searchBenchReport(w, cfg.MasterSeed, f.benchLabel, f.benchOut, f.benchQuick)
-	}
-	if f.servebench {
-		return serveBenchReport(w, cfg.MasterSeed, f.benchLabel, f.benchOut, f.benchQuick)
-	}
-	if f.remapbench {
-		return remapBenchReport(w, cfg.MasterSeed, f.benchLabel, f.benchOut, f.benchQuick)
-	}
-	if f.replaybench {
-		return replayBenchReport(w, cfg.MasterSeed, f.benchLabel, f.benchOut, f.benchQuick)
-	}
 	all := f.table == 0 && f.fig == "" && !f.ablation && !f.extension && !f.sweep
 
 	tables := []struct {

@@ -1,9 +1,6 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -93,55 +90,5 @@ func TestTable1WithStartsSmoke(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "Table 1 (hypercubes)") {
 		t.Fatalf("multi-start table run produced no Table 1:\n%s", out.String())
-	}
-}
-
-func TestRefineBenchQuickSmoke(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-refinebench", "-bench-quick"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		"Refinement hot-path benchmark",
-		"table1/hypercube-16", "table1/hypercube-32",
-		"table2/mesh-4x4", "table2/mesh-5x8", "table3/random-24",
-	} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("refinebench output missing %q:\n%s", want, out.String())
-		}
-	}
-}
-
-func TestRefineBenchRecordsTrajectory(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
-	var out strings.Builder
-	for _, label := range []string{"first", "second"} {
-		if err := run([]string{"-refinebench", "-bench-quick", "-bench-label", label, "-bench-out", path}, &out); err != nil {
-			t.Fatal(err)
-		}
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var file refineFile
-	if err := json.Unmarshal(data, &file); err != nil {
-		t.Fatalf("trajectory is not valid JSON: %v", err)
-	}
-	if len(file.Entries) != 2 || file.Entries[0].Label != "first" || file.Entries[1].Label != "second" {
-		t.Fatalf("trajectory entries = %+v, want appended first,second", file.Entries)
-	}
-	for _, entry := range file.Entries {
-		if len(entry.Workloads) == 0 {
-			t.Fatalf("entry %q has no workloads", entry.Label)
-		}
-		for _, wl := range entry.Workloads {
-			if wl.AllocsPerTrial != 0 {
-				t.Fatalf("workload %s allocates %v per trial, want 0", wl.Name, wl.AllocsPerTrial)
-			}
-			if wl.TrialsPerSec <= 0 {
-				t.Fatalf("workload %s has no throughput measurement", wl.Name)
-			}
-		}
 	}
 }

@@ -610,9 +610,8 @@ func (s *server) writeSolveError(w http.ResponseWriter, err error) {
 }
 
 // endpointMetrics records per-endpoint request latencies into fixed-bucket
-// histograms, read back by GET /stats and the replay harness. Histograms
-// are created up front for a fixed endpoint set, so wrap and snapshot
-// never take a lock.
+// histograms, read back by GET /stats. Histograms are created up front for
+// a fixed endpoint set, so wrap and snapshot never take a lock.
 type endpointMetrics struct {
 	clock func() time.Time
 	hists map[string]*fleet.Histogram

@@ -12,7 +12,7 @@ import (
 // the assignment and the frozen (critical abstract node) markers used by
 // refinement.
 //
-// Deviations from the paper, all in under-specified corners (see DESIGN.md):
+// Deviations from the paper, all in under-specified corners:
 //
 //   - Ties are broken by lowest ID instead of "arbitrarily", for
 //     determinism.

@@ -17,7 +17,7 @@ import (
 	"mimdmap/internal/topology"
 )
 
-// These experiments extend the paper's evaluation (DESIGN.md §5): the 1991
+// These experiments extend the paper's §5 evaluation: the 1991
 // paper could only compare against the ideal-graph lower bound, which is
 // not always attainable; the branch-and-bound solver provides the true
 // optimum on small machines, and the clusterer comparison quantifies how

@@ -90,9 +90,8 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	return time.Duration(h.maxNanos.Load())
 }
 
-// HistogramSnapshot is the JSON-ready view of a Histogram for GET /stats
-// and the replay harness: count, mean, quantile upper bounds and max, all
-// in milliseconds.
+// HistogramSnapshot is the JSON-ready view of a Histogram for GET /stats:
+// count, mean, quantile upper bounds and max, all in milliseconds.
 type HistogramSnapshot struct {
 	Count  uint64  `json:"count"`
 	MeanMS float64 `json:"mean_ms"`

@@ -219,8 +219,8 @@ func checkWeights(taskSize, commWeight int) error {
 // default density and weights (edge factor 3, task sizes [1,20], edge
 // weights [1,5]), sized np = 4·ns clamped to the paper's [30,300] range,
 // randomly clustered onto the machine's ns processors. Deterministic for a
-// seed; shared by the Go refinement benchmarks and the cmd/mapbench
-// -refinebench harness so both measure identical workloads.
+// seed; the refinement-kernel and refiner benchmarks in internal/schedule
+// and internal/search draw their workloads from it.
 func TableInstance(ns int, seed int64) (*graph.Problem, *graph.Clustering, error) {
 	rng := rand.New(rand.NewSource(seed))
 	np := 4 * ns

@@ -20,27 +20,30 @@ func TestTotalTimeZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestSwapSessionZeroAllocs pins the refinement trial contract: after a
-// session is built, TrySwap, TrySwapBatch and Commit allocate nothing.
+// TestSwapSessionZeroAllocs pins the refinement trial contract on every
+// refine benchmark machine: after a session is built, TrySwap,
+// TrySwapBatch and Commit allocate nothing.
 func TestSwapSessionZeroAllocs(t *testing.T) {
-	e, a := benchInstance(t, topology.Mesh(4, 4), 7)
-	sess := e.NewSwapSession(a)
-	var ks, ls, totals [SwapLanes]int
-	for l := 0; l < SwapLanes; l++ {
-		ks[l], ls[l] = l, l+SwapLanes
-	}
-	if allocs := testing.AllocsPerRun(200, func() {
-		sess.TrySwapBatch(&ks, &ls, &totals)
-	}); allocs != 0 {
-		t.Fatalf("TrySwapBatch allocates %v objects per call, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(200, func() {
-		refineBenchSink += sess.TrySwap(1, 2)
-		sess.Commit()
-		refineBenchSink += sess.TrySwap(1, 2)
-		sess.Commit()
-	}); allocs != 0 {
-		t.Fatalf("TrySwap+Commit allocates %v objects per call, want 0", allocs)
+	for _, sys := range refineMachines() {
+		e, a := benchInstance(t, sys, 7)
+		sess := e.NewSwapSession(a)
+		var ks, ls, totals [SwapLanes]int
+		for l := 0; l < SwapLanes; l++ {
+			ks[l], ls[l] = l, l+SwapLanes
+		}
+		if allocs := testing.AllocsPerRun(200, func() {
+			sess.TrySwapBatch(&ks, &ls, &totals)
+		}); allocs != 0 {
+			t.Fatalf("%s: TrySwapBatch allocates %v objects per call, want 0", sys.Name, allocs)
+		}
+		if allocs := testing.AllocsPerRun(200, func() {
+			refineBenchSink += sess.TrySwap(1, 2)
+			sess.Commit()
+			refineBenchSink += sess.TrySwap(1, 2)
+			sess.Commit()
+		}); allocs != 0 {
+			t.Fatalf("%s: TrySwap+Commit allocates %v objects per call, want 0", sys.Name, allocs)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 package schedule
 
 // Contention-aware evaluation — an extension beyond the paper, used only by
-// ablation experiment E10 (see DESIGN.md §5).
+// ablation experiment E10 (listed in the internal/experiment package doc).
 //
 // The paper's model lets every task on a processor run as soon as its data
 // arrives, even if another task on the same processor is still executing.

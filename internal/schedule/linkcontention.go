@@ -6,15 +6,16 @@ import (
 	"mimdmap/internal/paths"
 )
 
-// Link-contention evaluation — a second extension beyond the paper
-// (DESIGN.md §5). The paper's model charges weight × distance for every
-// message independently; real 1991 machines serialized messages sharing a
-// link. EvaluateLinkContended simulates store-and-forward delivery over the
-// machine's canonical shortest-path routes with first-come-first-served
-// links: a message occupies each link of its route for its full weight, and
-// both directions of a link share one resource. Tasks still follow the
-// paper's dataflow rule (no processor contention), so the difference to
-// Evaluate isolates exactly the network's queueing effect.
+// Link-contention evaluation — a second extension beyond the paper, used
+// by ablation E11 in internal/experiment. The paper's model charges
+// weight × distance for every message independently; real 1991 machines
+// serialized messages sharing a link. EvaluateLinkContended simulates
+// store-and-forward delivery over the machine's canonical shortest-path
+// routes with first-come-first-served links: a message occupies each link
+// of its route for its full weight, and both directions of a link share
+// one resource. Tasks still follow the paper's dataflow rule (no processor
+// contention), so the difference to Evaluate isolates exactly the
+// network's queueing effect.
 
 // linkMsg is one inter-processor message of the simulated program.
 type linkMsg struct {

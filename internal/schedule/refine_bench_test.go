@@ -11,8 +11,8 @@ import (
 )
 
 // benchInstance generates a Table 1–3 style workload via the shared
-// gen.TableInstance builder, so these benchmarks and the cmd/mapbench
-// -refinebench harness measure identical workloads.
+// gen.TableInstance builder, the generator BenchmarkRefiners in
+// internal/search also draws its workloads from.
 func benchInstance(tb testing.TB, sys *graph.System, seed int64) (*Evaluator, *Assignment) {
 	tb.Helper()
 	ns := sys.NumNodes()
@@ -53,6 +53,21 @@ func BenchmarkRefineTrialHypercube16(b *testing.B) { benchRefineTrials(b, topolo
 func BenchmarkRefineTrialHypercube32(b *testing.B) { benchRefineTrials(b, topology.Hypercube(5), 1991) }
 func BenchmarkRefineTrialMesh4x4(b *testing.B)     { benchRefineTrials(b, topology.Mesh(4, 4), 1991) }
 func BenchmarkRefineTrialMesh5x8(b *testing.B)     { benchRefineTrials(b, topology.Mesh(5, 8), 1991) }
+func BenchmarkRefineTrialRandom24(b *testing.B)    { benchRefineTrials(b, random24(), 1991) }
+
+// refineMachines are the five Table 1–3 style machines BENCH_refine.json
+// was recorded on, in its order.
+func refineMachines() []*graph.System {
+	return []*graph.System{
+		topology.Hypercube(4), topology.Hypercube(5),
+		topology.Mesh(4, 4), topology.Mesh(5, 8), random24(),
+	}
+}
+
+// random24 is the Table 3 style sparse random machine, ns=24.
+func random24() *graph.System {
+	return topology.Random(24, 0.08, rand.New(rand.NewSource(1991+100)))
+}
 
 // BenchmarkRefineTotalTime is the scalar fast path: one full evaluation,
 // no allocation, reusing the evaluator's scratch arena.

@@ -124,8 +124,8 @@ type Portfolio struct {
 func (*Portfolio) Name() string { return "portfolio" }
 
 // Refine implements Refiner: the single-chain path (Map, RunContext,
-// CompareRefiners, searchbench) runs the rounds back to back with no elite
-// exchange.
+// CompareRefiners, BenchmarkRefiners) runs the rounds back to back with no
+// elite exchange.
 //
 //mapcheck:noalloc
 func (p *Portfolio) Refine(ctx context.Context, sess *schedule.SwapSession, b Budget, rng *rand.Rand) Trace {

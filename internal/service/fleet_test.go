@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"mimdmap/internal/fleet"
+	"mimdmap/internal/gen"
 )
 
 func fleetRequest(t *testing.T, seed int64) *Request {
@@ -84,34 +85,57 @@ func marshalDeterministic(t *testing.T, resp *Response) []byte {
 
 // A fingerprint must be solved at most once fleet-wide, and the response
 // must be byte-identical whichever replica receives the request, at any
-// fleet size.
+// fleet size. Warm-start Remaps forward like plain solves: the projected
+// incumbent is part of the fingerprint, so the owner executes the warm
+// solve once and every entry replica returns its bytes.
 func TestFleetForwardSolvesOnceAndMatchesSolo(t *testing.T) {
 	ctx := context.Background()
-	solo := NewSolver(1)
-	req := fleetRequest(t, 11)
-	want, err := solo.Solve(ctx, req)
-	if err != nil {
-		t.Fatal(err)
+	prev, _ := remapBase(t, NewSolver(1))
+	remapReq := perturbedRequest(t, prev, gen.PerturbSpec{GrowTasks: 2, ReweightEdges: 0.2}, 3)
+	inputs := []struct {
+		name  string
+		warm  bool
+		issue func(s *Solver) (*Response, error)
+	}{
+		{"solve", false, func(s *Solver) (*Response, error) {
+			return s.Solve(ctx, fleetRequest(t, 11))
+		}},
+		{"remap", true, func(s *Solver) (*Response, error) {
+			req := *remapReq
+			return s.Remap(ctx, prev, &req)
+		}},
 	}
-	wantBody := marshalDeterministic(t, want)
+	for _, in := range inputs {
+		want, err := in.issue(NewSolver(1))
+		if err != nil {
+			t.Fatalf("%s: solo: %v", in.name, err)
+		}
+		if want.Diagnostics.WarmStart != in.warm {
+			t.Fatalf("%s: solo WarmStart = %v, want %v", in.name, want.Diagnostics.WarmStart, in.warm)
+		}
+		wantBody := marshalDeterministic(t, want)
 
-	for _, size := range []int{2, 3} {
-		solvers := inProcessFleet(size)
-		var totalExec uint64
-		for entry := 0; entry < size; entry++ {
-			resp, err := solvers[entry].Solve(ctx, fleetRequest(t, 11))
-			if err != nil {
-				t.Fatalf("fleet %d, entry %d: %v", size, entry, err)
+		for _, size := range []int{2, 3} {
+			solvers := inProcessFleet(size)
+			var totalExec uint64
+			for entry := 0; entry < size; entry++ {
+				resp, err := in.issue(solvers[entry])
+				if err != nil {
+					t.Fatalf("%s: fleet %d, entry %d: %v", in.name, size, entry, err)
+				}
+				if resp.Diagnostics.WarmStart != in.warm {
+					t.Fatalf("%s: fleet %d, entry %d: WarmStart = %v, want %v", in.name, size, entry, resp.Diagnostics.WarmStart, in.warm)
+				}
+				if got := marshalDeterministic(t, resp); !bytes.Equal(got, wantBody) {
+					t.Fatalf("%s: fleet %d, entry %d: response differs from solo\n got %s\nwant %s", in.name, size, entry, got, wantBody)
+				}
 			}
-			if got := marshalDeterministic(t, resp); !bytes.Equal(got, wantBody) {
-				t.Fatalf("fleet %d, entry %d: response differs from solo solve\n got %s\nwant %s", size, entry, got, wantBody)
+			for _, s := range solvers {
+				totalExec += s.Stats().Executions
 			}
-		}
-		for _, s := range solvers {
-			totalExec += s.Stats().Executions
-		}
-		if totalExec != 1 {
-			t.Fatalf("fleet %d: fingerprint executed %d times fleet-wide, want exactly 1", size, totalExec)
+			if totalExec != 1 {
+				t.Fatalf("%s: fleet %d: fingerprint executed %d times fleet-wide, want exactly 1", in.name, size, totalExec)
+			}
 		}
 	}
 }

@@ -275,8 +275,8 @@ func (st *solveState) cacheLookup(ctx context.Context) error {
 // leader published to the cache and retired its call inside the window
 // between this request's cache probe and its winning join. In that window
 // a leader that marched on would re-execute a fingerprint the cache
-// already holds, breaking the exactly-once contract the fleet replay
-// harness asserts; instead the raced fill is served as a plain hit and
+// already holds, breaking the exactly-once contract the fleet tests
+// assert; instead the raced fill is served as a plain hit and
 // the just-created call is completed immediately, so any followers that
 // joined it share the cached response rather than waiting on a
 // re-execution. The re-probe is a Peek: cacheLookup's Get already counted
