@@ -48,13 +48,15 @@ bench:
 # paths) and the search-strategy benchmark (BenchmarkRefiners: every
 # registered refiner, portfolio included, on three of those machines) at a
 # short benchtime, so none can rot unnoticed. BenchmarkSearchHeavy runs the search-heavy workload's shape
-# (np=160 on mesh-5x8, portfolio, two chains, 2000 trials), and the Table 1
+# (np=160 on mesh-5x8, portfolio, two chains, 2000 trials),
+# BenchmarkColdMapLarge the large-cold one (np=2000 on mesh-8x16, the only
+# Go benchmark that drives §4.3.2 placement at ns=128), and the Table 1
 # portfolio run smokes the multi-start lockstep path (elite exchange across
 # chains), which the single-chain BenchmarkRefiners cannot reach.
 bench-smoke:
 	$(GO) test -bench Refine -benchtime 10x -run '^$$' ./internal/schedule/
 	$(GO) test -run '^$$' -bench Refiners -benchtime 64x ./internal/search/
-	$(GO) test -bench SearchHeavy -benchtime 2x -run '^$$' .
+	$(GO) test -bench 'SearchHeavy|ColdMapLarge' -benchtime 2x -run '^$$' .
 	$(GO) run ./cmd/mapbench -table 1 -refiner portfolio -starts 4 -trials 2 > /dev/null
 
 # The repository benchmark (bench/) is its own Go module, so `go test ./...`

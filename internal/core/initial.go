@@ -41,6 +41,7 @@ func (m *Mapper) initialAssignment(crit *critical.Analysis) (*schedule.Assignmen
 	critAdj := make([]bool, na)
 	absAdj := make([]bool, na)
 	neighbours := make([]placedNeighbour, 0, na)
+	marked := make([]bool, ns)
 
 	visit := func(va int) {
 		visitedAbs[va] = true
@@ -97,7 +98,7 @@ func (m *Mapper) initialAssignment(crit *critical.Analysis) (*schedule.Assignmen
 			break
 		}
 		visit(va)
-		vs, adjacent := m.pickSystemNode(va, crit.AbsEdge[va], deg, visitedSys, assign, neighbours)
+		vs, adjacent := m.pickSystemNode(va, crit.AbsEdge[va], deg, visitedSys, assign, neighbours, marked)
 		if vs == -1 {
 			// Disconnected critical component: re-seed on the best free
 			// system node. The node cannot be adjacent to a placed critical
@@ -125,7 +126,7 @@ func (m *Mapper) initialAssignment(crit *critical.Analysis) (*schedule.Assignmen
 			break
 		}
 		visit(va)
-		vs, _ := m.pickSystemNode(va, m.abs.Weight[va], deg, visitedSys, assign, neighbours)
+		vs, _ := m.pickSystemNode(va, m.abs.Weight[va], deg, visitedSys, assign, neighbours, marked)
 		if vs == -1 {
 			vs = maxDegreeFreeSys()
 		}
@@ -167,8 +168,9 @@ type placedNeighbour struct{ proc, w int }
 // pickSystemNode chooses the processor for abstract node va (steps 2(b)/(c)
 // and 3(b)/(c) of §4.3.2). weight is va's row of the relevant edge weights:
 // the critical abstract edge weights in step 2, the full abstract edge
-// weights in step 3. deg holds the system node degrees and buf is scratch
-// space for va's placed neighbours, both owned by the caller so that a
+// weights in step 3. deg holds the system node degrees, buf is scratch
+// space for va's placed neighbours and marked is an all-false scratch mark
+// per processor (returned all-false), all owned by the caller so that a
 // placement allocates nothing per node.
 //
 // The paper's step (b) accepts any free system node that is "a neighbor of
@@ -182,7 +184,7 @@ type placedNeighbour struct{ proc, w int }
 // a placed neighbour's processor (the condition under which step 2 marks va
 // as a critical abstract node). Returns (-1, false) when va has no placed
 // neighbour with positive weight.
-func (m *Mapper) pickSystemNode(va int, weight, deg []int, visitedSys []bool, assign *schedule.Assignment, buf []placedNeighbour) (proc int, adjacent bool) {
+func (m *Mapper) pickSystemNode(va int, weight, deg []int, visitedSys []bool, assign *schedule.Assignment, buf []placedNeighbour, marked []bool) (proc int, adjacent bool) {
 	neighbours := buf[:0]
 	for l, w := range weight {
 		if l == va || assign.ProcOf[l] < 0 {
@@ -190,6 +192,7 @@ func (m *Mapper) pickSystemNode(va int, weight, deg []int, visitedSys []bool, as
 		}
 		if w > 0 {
 			neighbours = append(neighbours, placedNeighbour{assign.ProcOf[l], w})
+			marked[assign.ProcOf[l]] = true
 		}
 	}
 	if len(neighbours) == 0 {
@@ -201,13 +204,16 @@ func (m *Mapper) pickSystemNode(va int, weight, deg []int, visitedSys []bool, as
 		if used {
 			continue
 		}
-		distRow, adjRow := m.dist.Dist[v], m.sys.Adj[v]
+		distRow := m.dist.Dist[v]
 		cost := 0
-		adj := false
 		for _, nbr := range neighbours {
 			cost += nbr.w * distRow[nbr.proc]
-			if adjRow[nbr.proc] {
+		}
+		adj := false
+		for _, w := range m.sys.Neighbors(v) {
+			if marked[w] {
 				adj = true
+				break
 			}
 		}
 		// Nodes adjacent to a placed neighbour (step b) beat non-adjacent
@@ -219,6 +225,9 @@ func (m *Mapper) pickSystemNode(va int, weight, deg []int, visitedSys []bool, as
 		if better {
 			best, bestCost, bestAdj = v, cost, adj
 		}
+	}
+	for _, nbr := range neighbours {
+		marked[nbr.proc] = false
 	}
 	return best, bestAdj
 }

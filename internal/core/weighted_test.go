@@ -70,7 +70,7 @@ func TestWeightedMappingStillSoundProperty(t *testing.T) {
 		delays := paths.NewLinkDelays(c.K)
 		for a := 0; a < c.K; a++ {
 			for b := a + 1; b < c.K; b++ {
-				if sys.Adj[a][b] {
+				if sys.HasLink(a, b) {
 					delays.Set(a, b, 1+rng.Intn(4))
 				}
 			}

@@ -54,8 +54,8 @@ func HeteroLinks(cfg Config, maxDelay int) ([]HeteroRow, error) {
 			ns := in.Sys.NumNodes()
 			delays := paths.NewLinkDelays(ns)
 			for a := 0; a < ns; a++ {
-				for b := a + 1; b < ns; b++ {
-					if in.Sys.Adj[a][b] {
+				for _, b := range in.Sys.Neighbors(a) {
+					if b > a {
 						delays.Set(a, b, 1+delayRng.Intn(maxDelay))
 					}
 				}

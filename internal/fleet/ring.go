@@ -66,9 +66,6 @@ func (r *Ring) Owner(key string) string {
 	return best
 }
 
-// Owns reports whether this replica itself owns key.
-func (r *Ring) Owns(key string) bool { return r.Owner(key) == r.self }
-
 // Self returns this replica's own peer name.
 func (r *Ring) Self() string { return r.self }
 

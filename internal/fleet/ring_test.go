@@ -117,7 +117,7 @@ func TestRingSinglePeerOwnsEverything(t *testing.T) {
 	}
 	for i := 0; i < 50; i++ {
 		key := fmt.Sprintf("k%d", i)
-		if !r.Owns(key) {
+		if r.Owner(key) != r.Self() {
 			t.Fatalf("single-peer ring does not own %q", key)
 		}
 	}

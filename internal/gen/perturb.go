@@ -176,8 +176,10 @@ func perturbSystem(s *graph.System, sp *PerturbSpec, rng *rand.Rand) *graph.Syst
 	out := graph.NewSystem(n)
 	out.Name = s.Name
 	for i := 0; i < keep; i++ {
-		for j := 0; j < keep; j++ {
-			out.Adj[i][j] = s.Adj[i][j]
+		for _, j := range s.Neighbors(i) {
+			if j > i && j < keep {
+				out.AddLink(i, j)
+			}
 		}
 	}
 	for p := keep; p < n; p++ {
@@ -206,8 +208,8 @@ func reconnect(s *graph.System) {
 	var walk func(int)
 	walk = func(v int) {
 		seen[v] = true
-		for j, adj := range s.Adj[v] {
-			if adj && !seen[j] {
+		for _, j := range s.Neighbors(v) {
+			if !seen[j] {
 				walk(j)
 			}
 		}

@@ -20,7 +20,7 @@ import "fmt"
 // evolving workloads are produced (gen.Perturb follows the same
 // convention) and needs no graph-isomorphism search: the problem side is
 // one merge of the two sorted edge lists, O(np + edges); the system side
-// scans the two adjacency matrices, O(ns²).
+// walks both machines' neighbour lists, one binary search per link.
 // Instances that renumber their tasks diff as heavily changed and simply
 // fall back to a cold solve — a quality decision, never a correctness one.
 
@@ -114,32 +114,25 @@ func Diff(oldP, newP *Problem, oldS, newS *System) Delta {
 	for p := commonS; p < oldNS; p++ {
 		d.ProcsLost = append(d.ProcsLost, p)
 	}
-	oldLinks, newLinks := 0, 0
-	for i := 0; i < oldNS; i++ {
-		for j := i + 1; j < oldNS; j++ {
-			if !oldS.Adj[i][j] {
-				continue
-			}
-			oldLinks++
-			if j >= commonS || !newS.Adj[i][j] {
-				d.LinksRemoved++
-			}
-		}
-	}
-	for i := 0; i < newNS; i++ {
-		for j := i + 1; j < newNS; j++ {
-			if !newS.Adj[i][j] {
-				continue
-			}
-			newLinks++
-			if j >= commonS || !oldS.Adj[i][j] {
-				d.LinksAdded++
-			}
-		}
-	}
-	d.OldElems = oldNP + oldEdges + oldNS + oldLinks
-	d.NewElems = newNP + newEdges + newNS + newLinks
+	d.LinksRemoved = linksMissing(oldS, newS, commonS)
+	d.LinksAdded = linksMissing(newS, oldS, commonS)
+	d.OldElems = oldNP + oldEdges + oldNS + oldS.NumLinks()
+	d.NewElems = newNP + newEdges + newNS + newS.NumLinks()
 	return d
+}
+
+// linksMissing counts the links of a that b lacks, where b shares only
+// a's first common processors.
+func linksMissing(a, b *System, common int) int {
+	n := 0
+	for i := 0; i < a.NumNodes(); i++ {
+		for _, j := range a.Neighbors(i) {
+			if j > i && (j >= common || !b.HasLink(i, j)) {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // Changes returns the total number of changed elements the delta records.

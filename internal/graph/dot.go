@@ -51,8 +51,8 @@ func WriteSystemDOT(w io.Writer, s *System) error {
 		fmt.Fprintf(bw, "  p%d [label=\"P%d\"];\n", v, v)
 	}
 	for a := 0; a < s.NumNodes(); a++ {
-		for b := a + 1; b < s.NumNodes(); b++ {
-			if s.Adj[a][b] {
+		for _, b := range s.Neighbors(a) {
+			if b > a {
 				fmt.Fprintf(bw, "  p%d -- p%d;\n", a, b)
 			}
 		}

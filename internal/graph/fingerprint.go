@@ -171,18 +171,10 @@ func (s *System) fingerprint() Fingerprint {
 	h := NewHasher("mimdmap/system/v1")
 	h.Str(s.Name)
 	h.Int(s.NumNodes())
-	links := 0
-	for i := range s.Adj {
-		for j := i + 1; j < len(s.Adj[i]); j++ {
-			if s.Adj[i][j] {
-				links++
-			}
-		}
-	}
-	h.Int(links)
-	for i := range s.Adj {
-		for j := i + 1; j < len(s.Adj[i]); j++ {
-			if s.Adj[i][j] {
+	h.Int(s.links)
+	for i, row := range s.adj {
+		for _, j := range row {
+			if j > i {
 				h.Int(i)
 				h.Int(j)
 			}

@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -90,6 +91,25 @@ func FuzzParseSystem(f *testing.F) {
 		}
 		if verr := s.Validate(); verr != nil {
 			t.Fatalf("parser accepted an invalid system: %v\ninput: %q", verr, in)
+		}
+		degrees := 0
+		for i := 0; i < s.NumNodes(); i++ {
+			row := s.Neighbors(i)
+			for k, j := range row {
+				if k > 0 && row[k-1] >= j {
+					t.Fatalf("neighbours of %d not strictly ascending: %v\ninput: %q", i, row, in)
+				}
+				if j == i {
+					t.Fatalf("processor %d lists a self-link\ninput: %q", i, in)
+				}
+				if !slices.Contains(s.Neighbors(j), i) {
+					t.Fatalf("link %d—%d is not symmetric\ninput: %q", i, j, in)
+				}
+			}
+			degrees += s.Degree(i)
+		}
+		if 2*s.NumLinks() != degrees {
+			t.Fatalf("NumLinks = %d, degrees sum to %d\ninput: %q", s.NumLinks(), degrees, in)
 		}
 		var buf bytes.Buffer
 		if werr := WriteSystem(&buf, s); werr != nil {

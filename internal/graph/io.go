@@ -23,15 +23,19 @@ import (
 //	assign <task> <cluster>
 //
 // Unknown directives are errors; blank lines and #-comments are skipped.
-// Each input holds one header. Header sizes are bounded by MaxTextNodes: a
-// system is a dense n×n adjacency matrix, so the bound keeps a hostile
-// few-byte header ("system 99999999") from allocating gigabytes before
-// validation can reject it. Problems and clusterings take O(n) memory per
-// header and share the bound.
+// Each input holds one header. Header sizes are bounded by MaxTextNodes,
+// so a hostile few-byte header ("system 99999999") cannot allocate more
+// than O(MaxTextNodes) before validation rejects it. A system's links are
+// bounded by MaxTextLinks: its neighbour lists take 16 bytes per link, so
+// the bound caps a parsed machine at 64 MB of links plus row growth slack.
 
 // MaxTextNodes bounds the declared size of any graph read from the text
 // format — tasks of a problem, nodes of a system, tasks of a clustering.
 const MaxTextNodes = 1 << 14
+
+// MaxTextLinks bounds the distinct links of a system read from the text
+// format, and of a named topology (topology.ByName).
+const MaxTextLinks = 1 << 22
 
 // headerSize validates a parsed header count against [0, MaxTextNodes].
 func headerSize(n int, what string) error {
@@ -67,9 +71,9 @@ func WriteSystem(w io.Writer, s *System) error {
 	} else {
 		fmt.Fprintf(bw, "system %d\n", s.NumNodes())
 	}
-	for i := range s.Adj {
-		for j := i + 1; j < len(s.Adj[i]); j++ {
-			if s.Adj[i][j] {
+	for i, row := range s.adj {
+		for _, j := range row {
+			if j > i {
 				fmt.Fprintf(bw, "link %d %d\n", i, j)
 			}
 		}
@@ -195,6 +199,9 @@ func readSystem(r io.Reader, scan lineScanner) (*System, error) {
 			}
 			if a < 0 || a >= s.NumNodes() || b < 0 || b >= s.NumNodes() {
 				return fmt.Errorf("link %d—%d out of range", a, b)
+			}
+			if s.NumLinks() >= MaxTextLinks && a != b && !s.HasLink(a, b) {
+				return fmt.Errorf("more than %d links", MaxTextLinks)
 			}
 			s.AddLink(a, b)
 		default:

@@ -1,11 +1,14 @@
 package graph
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -189,7 +192,7 @@ func TestReadProblemRobustness(t *testing.T) {
 // TestReadHeadersAllocateLinearly pins the cost of hostile headers: the
 // 14-byte "problem 16384" must not allocate an np×np matrix (2 GiB when
 // problems were dense), and a repeated system header must be rejected
-// before it allocates a second ns×ns one.
+// before it allocates a second system.
 func TestReadHeadersAllocateLinearly(t *testing.T) {
 	cases := []struct {
 		in    string
@@ -207,6 +210,49 @@ func TestReadHeadersAllocateLinearly(t *testing.T) {
 		if got := after.TotalAlloc - before.TotalAlloc; got >= tc.limit {
 			t.Errorf("%.16q… allocated %d bytes, limit %d", tc.in, got, tc.limit)
 		}
+	}
+}
+
+// TestReadSystemBounds pins the worst-case cost of a parsed machine: a
+// header-only "system 16384" allocates O(ns) (256 MB when systems were a
+// dense ns×ns matrix) before it is rejected as disconnected, and the first
+// distinct link past MaxTextLinks is rejected.
+func TestReadSystemBounds(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadSystem(strings.NewReader(fmt.Sprintf("system %d\n", MaxTextNodes)))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "not connected") {
+		t.Fatalf("header-only system: err = %v, want a connectivity error", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("header-only system allocated %d bytes", got)
+	}
+
+	// Every link of the complete graph on n nodes, one more than the bound,
+	// streamed so the text itself is never held in memory.
+	n := 2
+	for n*(n-1)/2 <= MaxTextLinks {
+		n++
+	}
+	pr, pw := io.Pipe()
+	go func() {
+		w := bufio.NewWriter(pw)
+		fmt.Fprintf(w, "system %d\n", n)
+		var line []byte
+		for a := 0; a < n; a++ {
+			for b := a; b < n; b++ { // b == a: self-links never count
+				line = strconv.AppendInt(append(line[:0], "link "...), int64(a), 10)
+				line = strconv.AppendInt(append(line, ' '), int64(b), 10)
+				w.Write(append(line, '\n'))
+			}
+		}
+		pw.CloseWithError(w.Flush())
+	}()
+	_, err = ReadSystem(pr)
+	pr.Close()
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("more than %d links", MaxTextLinks)) {
+		t.Fatalf("system with more than MaxTextLinks links: err = %v", err)
 	}
 }
 

@@ -2,17 +2,23 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 )
 
 // System is a system graph Gs: the undirected interconnection topology of a
-// MIMD machine with ns homogeneous processing elements. Adj is the symmetric
-// boolean adjacency matrix sys_edge of the paper.
+// MIMD machine with ns homogeneous processing elements. The paper describes
+// it by the dense boolean matrix sys_edge; System stores the same relation
+// as sorted neighbour lists, which is what every consumer walks.
 type System struct {
 	// Name is an optional human-readable topology label such as
 	// "hypercube-4" or "mesh-3x4"; it does not affect any algorithm.
 	Name string
-	// Adj[i][j] reports whether processors i and j share a direct link.
-	Adj [][]bool
+
+	// adj[i] lists the neighbours of processor i in ascending order, with
+	// no self-links or repeats; j ∈ adj[i] ⇔ i ∈ adj[j]. links counts the
+	// undirected links. AddLink is the only mutator.
+	adj   [][]int
+	links int
 
 	// fp memoizes Fingerprint; see the freeze-point contract in
 	// fingerprint.go. It also makes System no-copy (vet: copylocks).
@@ -20,41 +26,38 @@ type System struct {
 }
 
 // NewSystem returns a system graph with n processors and no links.
-func NewSystem(n int) *System {
-	s := &System{Adj: make([][]bool, n)}
-	cells := make([]bool, n*n)
-	for i := range s.Adj {
-		s.Adj[i], cells = cells[:n:n], cells[n:]
-	}
-	return s
-}
+func NewSystem(n int) *System { return &System{adj: make([][]int, n)} }
 
 // NumNodes returns ns, the number of processors.
-func (s *System) NumNodes() int { return len(s.Adj) }
+func (s *System) NumNodes() int { return len(s.adj) }
 
-// AddLink records the bidirectional link a—b. Self-links are ignored.
+// AddLink records the bidirectional link a—b, inserting each endpoint in
+// the other's neighbour list at its sorted position (O(degree)). Self-links
+// and repeats are ignored. It panics if a or b is out of range. Like every
+// structural change it must precede the first Fingerprint (fingerprint.go).
 func (s *System) AddLink(a, b int) {
 	if a == b {
 		return
 	}
-	s.Adj[a][b] = true
-	s.Adj[b][a] = true
+	i, found := slices.BinarySearch(s.adj[a], b)
+	if found {
+		return
+	}
+	j, _ := slices.BinarySearch(s.adj[b], a)
+	s.adj[a] = slices.Insert(s.adj[a], i, b)
+	s.adj[b] = slices.Insert(s.adj[b], j, a)
+	s.links++
 }
 
 // HasLink reports whether processors a and b are directly connected.
-func (s *System) HasLink(a, b int) bool { return s.Adj[a][b] }
+func (s *System) HasLink(a, b int) bool {
+	_, found := slices.BinarySearch(s.adj[a], b)
+	return found
+}
 
 // Degree returns the number of direct neighbours of processor i
 // (matrix deg of the paper).
-func (s *System) Degree(i int) int {
-	d := 0
-	for _, adj := range s.Adj[i] {
-		if adj {
-			d++
-		}
-	}
-	return d
-}
+func (s *System) Degree(i int) int { return len(s.adj[i]) }
 
 // Degrees returns the degree of every processor.
 func (s *System) Degrees() []int {
@@ -66,35 +69,20 @@ func (s *System) Degrees() []int {
 }
 
 // NumLinks returns the number of undirected links.
-func (s *System) NumLinks() int {
-	n := 0
-	for i := range s.Adj {
-		for j := i + 1; j < len(s.Adj[i]); j++ {
-			if s.Adj[i][j] {
-				n++
-			}
-		}
-	}
-	return n
-}
+func (s *System) NumLinks() int { return s.links }
 
 // Neighbors returns the direct neighbours of processor i in ascending order.
-func (s *System) Neighbors(i int) []int {
-	var ns []int
-	for j, adj := range s.Adj[i] {
-		if adj {
-			ns = append(ns, j)
-		}
-	}
-	return ns
-}
+// The slice is the system's own row, shared with every caller and returned
+// without allocating: it is read-only.
+func (s *System) Neighbors(i int) []int { return s.adj[i] }
 
-// Clone returns a deep copy of the system graph.
+// Clone returns a deep copy of the system graph. The copy is not frozen.
 func (s *System) Clone() *System {
-	t := NewSystem(s.NumNodes())
-	t.Name = s.Name
-	for i := range s.Adj {
-		copy(t.Adj[i], s.Adj[i])
+	t := &System{Name: s.Name, adj: make([][]int, len(s.adj)), links: s.links}
+	cells := make([]int, 2*s.links)
+	for i, row := range s.adj {
+		t.adj[i], cells = cells[:len(row):len(row)], cells[len(row):]
+		copy(t.adj[i], row)
 	}
 	return t
 }
@@ -107,8 +95,8 @@ func (s *System) Closure() *System {
 	c := NewSystem(n)
 	c.Name = s.Name + "-closure"
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			c.Adj[i][j] = i != j
+		for j := i + 1; j < n; j++ {
+			c.AddLink(i, j)
 		}
 	}
 	return c
@@ -128,8 +116,8 @@ func (s *System) IsConnected() bool {
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for j, adj := range s.Adj[v] {
-			if adj && !seen[j] {
+		for _, j := range s.adj[v] {
+			if !seen[j] {
 				seen[j] = true
 				count++
 				stack = append(stack, j)
@@ -139,43 +127,25 @@ func (s *System) IsConnected() bool {
 	return count == n
 }
 
-// Validate checks the structural invariants of a system graph: a square
-// symmetric adjacency matrix with an empty diagonal, and connectivity (a
-// disconnected machine cannot host a communicating program).
+// Validate checks that the machine is connected: a disconnected machine
+// cannot host a communicating program. The neighbour lists cannot express
+// a self-link or an asymmetric link, so there is nothing else to check.
 func (s *System) Validate() error {
-	n := s.NumNodes()
-	for i := range s.Adj {
-		if len(s.Adj[i]) != n {
-			return fmt.Errorf("graph: system adjacency row %d has %d columns, want %d", i, len(s.Adj[i]), n)
-		}
-	}
-	for i := 0; i < n; i++ {
-		if s.Adj[i][i] {
-			return fmt.Errorf("graph: processor %d has a self-link", i)
-		}
-		for j := i + 1; j < n; j++ {
-			if s.Adj[i][j] != s.Adj[j][i] {
-				return fmt.Errorf("graph: asymmetric link %d—%d", i, j)
-			}
-		}
-	}
 	if !s.IsConnected() {
 		return fmt.Errorf("graph: system graph %q is not connected", s.Name)
 	}
 	return nil
 }
 
-// Equal reports whether two system graphs have identical adjacency matrices
-// (names are ignored).
+// Equal reports whether two system graphs have identical links (names are
+// ignored).
 func (s *System) Equal(t *System) bool {
-	if s.NumNodes() != t.NumNodes() {
+	if s.NumNodes() != t.NumNodes() || s.links != t.links {
 		return false
 	}
-	for i := range s.Adj {
-		for j := range s.Adj[i] {
-			if s.Adj[i][j] != t.Adj[i][j] {
-				return false
-			}
+	for i, row := range s.adj {
+		if !slices.Equal(row, t.adj[i]) {
+			return false
 		}
 	}
 	return true

@@ -8,7 +8,7 @@ import (
 
 // Unreachable is the distance reported between processors with no connecting
 // route. Validated system graphs are connected, so it only appears when
-// analysing raw adjacency matrices.
+// analysing a system that was never validated.
 const Unreachable = int(^uint(0) >> 1) // max int
 
 // Table is the all-pairs shortest path matrix of a system graph.
@@ -18,25 +18,15 @@ type Table struct {
 	Dist [][]int
 }
 
-// New computes the shortest-path table of s by BFS from every node. The
-// neighbour lists are read once from the dense adjacency matrix (O(ns²)),
-// so each BFS visits every node and link once. Complexity O(ns·(ns+links)).
+// New computes the shortest-path table of s by BFS from every node over its
+// neighbour lists, so each BFS visits every node and link once.
+// Complexity O(ns·(ns+links)).
 func New(s *graph.System) *Table {
 	n := s.NumNodes()
 	t := &Table{Dist: make([][]int, n)}
 	cells := make([]int, n*n)
 	for i := range t.Dist {
 		t.Dist[i], cells = cells[:n:n], cells[n:]
-	}
-	off := make([]int, n+1)
-	var nbr []int
-	for v, row := range s.Adj {
-		for w, adj := range row {
-			if adj {
-				nbr = append(nbr, w)
-			}
-		}
-		off[v+1] = len(nbr)
 	}
 	queue := make([]int, 0, n)
 	for src := 0; src < n; src++ {
@@ -49,7 +39,7 @@ func New(s *graph.System) *Table {
 		queue = append(queue, src)
 		for head := 0; head < len(queue); head++ {
 			v := queue[head]
-			for _, w := range nbr[off[v]:off[v+1]] {
+			for _, w := range s.Neighbors(v) {
 				if row[w] == Unreachable {
 					row[w] = row[v] + 1
 					queue = append(queue, w)
@@ -71,14 +61,11 @@ func FloydWarshall(s *graph.System) *Table {
 	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			switch {
-			case i == j:
-				t.Dist[i][j] = 0
-			case s.Adj[i][j]:
-				t.Dist[i][j] = 1
-			default:
-				t.Dist[i][j] = Unreachable
-			}
+			t.Dist[i][j] = Unreachable
+		}
+		t.Dist[i][i] = 0
+		for _, j := range s.Neighbors(i) {
+			t.Dist[i][j] = 1
 		}
 	}
 	for k := 0; k < n; k++ {
@@ -173,7 +160,7 @@ func (t *Table) Validate(s *graph.System) error {
 			if t.Dist[i][j] != t.Dist[j][i] {
 				return fmt.Errorf("paths: asymmetric distance %d—%d", i, j)
 			}
-			if s.Adj[i][j] && t.Dist[i][j] != 1 {
+			if t.Dist[i][j] != 1 && s.HasLink(i, j) {
 				return fmt.Errorf("paths: linked pair %d—%d at distance %d", i, j, t.Dist[i][j])
 			}
 			if i != j && t.Dist[i][j] == 0 {

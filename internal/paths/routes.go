@@ -33,8 +33,8 @@ func NewRoutes(s *graph.System, t *Table) *Routes {
 			if a == b || t.Dist[a][b] == Unreachable {
 				continue
 			}
-			for v := 0; v < n; v++ {
-				if s.Adj[a][v] && t.Dist[v][b] == t.Dist[a][b]-1 {
+			for _, v := range s.Neighbors(a) {
+				if t.Dist[v][b] == t.Dist[a][b]-1 {
 					r.Next[a][b] = v
 					break
 				}
@@ -107,7 +107,7 @@ func (r *Routes) Validate(s *graph.System) error {
 					return fmt.Errorf("paths: route %d→%d has %d hops, want %d", a, b, len(path)-1, r.dist.Dist[a][b])
 				}
 				for i := 0; i+1 < len(path); i++ {
-					if !s.Adj[path[i]][path[i+1]] {
+					if !s.HasLink(path[i], path[i+1]) {
 						return fmt.Errorf("paths: route %d→%d uses missing link %d—%d", a, b, path[i], path[i+1])
 					}
 				}

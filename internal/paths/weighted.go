@@ -55,10 +55,7 @@ func (d *LinkDelays) Validate(s *graph.System) error {
 		if len(d.Delay[a]) != n {
 			return fmt.Errorf("paths: delay row %d has %d columns, want %d", a, len(d.Delay[a]), n)
 		}
-		for b := 0; b < n; b++ {
-			if !s.Adj[a][b] {
-				continue
-			}
+		for _, b := range s.Neighbors(a) {
 			if d.Delay[a][b] < 1 {
 				return fmt.Errorf("paths: link %d—%d has delay %d, want ≥ 1", a, b, d.Delay[a][b])
 			}
@@ -119,10 +116,7 @@ func NewWeighted(s *graph.System, delays *LinkDelays) (*Table, error) {
 			if it.dist > row[it.node] {
 				continue // stale entry
 			}
-			for v, adj := range s.Adj[it.node] {
-				if !adj {
-					continue
-				}
+			for _, v := range s.Neighbors(it.node) {
 				if nd := it.dist + delays.Delay[it.node][v]; nd < row[v] {
 					row[v] = nd
 					heap.Push(&q, dijkstraItem{v, nd})

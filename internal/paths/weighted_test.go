@@ -105,7 +105,7 @@ func TestWeightedTriangleInequalityProperty(t *testing.T) {
 		d := NewLinkDelays(n)
 		for a := 0; a < n; a++ {
 			for b := a + 1; b < n; b++ {
-				if s.Adj[a][b] {
+				if s.HasLink(a, b) {
 					d.Set(a, b, 1+rng.Intn(5))
 				}
 			}

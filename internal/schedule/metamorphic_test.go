@@ -85,7 +85,7 @@ func TestProcessorRelabelingInvariance(t *testing.T) {
 		relabeled := graph.NewSystem(c.K)
 		for a := 0; a < c.K; a++ {
 			for b := 0; b < c.K; b++ {
-				if sys.Adj[a][b] {
+				if sys.HasLink(a, b) {
 					relabeled.AddLink(pi[a], pi[b])
 				}
 			}
@@ -171,7 +171,7 @@ func TestExtraLinkNeverHurts(t *testing.T) {
 		added := false
 		for a := 0; a < c.K && !added; a++ {
 			for b := a + 1; b < c.K && !added; b++ {
-				if !richer.Adj[a][b] {
+				if !richer.HasLink(a, b) {
 					richer.AddLink(a, b)
 					added = true
 				}

@@ -1,5 +1,5 @@
 // Package stats provides the small statistical helpers the experiment
-// harness needs to build the paper's tables: means, standard deviations,
+// harness needs to build the paper's tables: means, extremes,
 // and percentage-over-lower-bound normalisation.
 package stats
 
@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 )
 
 // Mean returns the arithmetic mean of xs. It panics on an empty slice.
@@ -20,30 +19,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// MeanInt returns the arithmetic mean of integer samples.
-func MeanInt(xs []int) float64 {
-	fs := make([]float64, len(xs))
-	for i, x := range xs {
-		fs[i] = float64(x)
-	}
-	return Mean(fs)
-}
-
-// StdDev returns the sample standard deviation (n−1 denominator) of xs,
-// or 0 for fewer than two samples.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(xs)-1))
 }
 
 // Min returns the minimum of xs. It panics on an empty slice. It is the
@@ -62,21 +37,6 @@ func Max(xs []int) int {
 		panic("stats: max of empty slice")
 	}
 	return slices.Max(xs)
-}
-
-// Median returns the median of xs (mean of the two middle elements for even
-// lengths). It panics on an empty slice and does not modify xs.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: median of empty slice")
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	mid := len(cp) / 2
-	if len(cp)%2 == 1 {
-		return cp[mid]
-	}
-	return (cp[mid-1] + cp[mid]) / 2
 }
 
 // PercentOver expresses value as a percentage of base, the normalisation of

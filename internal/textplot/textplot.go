@@ -8,7 +8,6 @@ package textplot
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"mimdmap/internal/schedule"
@@ -184,15 +183,4 @@ func Table(headers []string, rows [][]string) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// SortedKeys returns the keys of an int-keyed map in ascending order — a
-// tiny helper for deterministic rendering.
-func SortedKeys[V any](m map[int]V) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
 }

@@ -113,11 +113,3 @@ func TestTableAlignment(t *testing.T) {
 		t.Fatalf("cell alignment wrong: %q", lines[2])
 	}
 }
-
-func TestSortedKeys(t *testing.T) {
-	m := map[int]string{3: "c", 1: "a", 2: "b"}
-	got := SortedKeys(m)
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("SortedKeys = %v", got)
-	}
-}

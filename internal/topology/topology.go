@@ -168,7 +168,7 @@ func Random(n int, extra float64, rng *rand.Rand) *graph.System {
 	}
 	for a := 0; a < n; a++ {
 		for b := a + 1; b < n; b++ {
-			if !s.Adj[a][b] && rng.Float64() < extra {
+			if !s.HasLink(a, b) && rng.Float64() < extra {
 				s.AddLink(a, b)
 			}
 		}
@@ -185,11 +185,13 @@ func Random(n int, extra float64, rng *rand.Rand) *graph.System {
 //	ring-<n> | chain-<n> | star-<n> | complete-<n> | btree-<n>
 //	random-<n>           (needs rng; extra-link probability 0.15)
 //
-// A spec naming more than graph.MaxTextNodes processors, the limit text
-// systems share, is rejected before anything is allocated.
+// A spec naming more than graph.MaxTextNodes processors, or a complete or
+// random machine on enough of them to exceed graph.MaxTextLinks links (the
+// limits text systems share), is rejected before anything is allocated.
 func ByName(spec string, rng *rand.Rand) (*graph.System, error) {
 	var a, b int
 	rows, cols := 1, 1 // the node count is rows×cols
+	dense := false     // may link every pair of nodes
 	var build func() *graph.System
 	switch {
 	case matchSpec(spec, "hypercube-%d", &a):
@@ -226,7 +228,7 @@ func ByName(spec string, rng *rand.Rand) (*graph.System, error) {
 		if a < 1 {
 			return nil, fmt.Errorf("topology: bad complete %q", spec)
 		}
-		rows, build = a, func() *graph.System { return Complete(a) }
+		rows, dense, build = a, true, func() *graph.System { return Complete(a) }
 	case matchSpec(spec, "btree-%d", &a):
 		if a < 1 {
 			return nil, fmt.Errorf("topology: bad btree %q", spec)
@@ -251,12 +253,15 @@ func ByName(spec string, rng *rand.Rand) (*graph.System, error) {
 		if rng == nil {
 			return nil, fmt.Errorf("topology: random topology %q needs a seeded RNG", spec)
 		}
-		rows, build = a, func() *graph.System { return Random(a, 0.15, rng) }
+		rows, dense, build = a, true, func() *graph.System { return Random(a, 0.15, rng) }
 	default:
 		return nil, fmt.Errorf("topology: unknown specification %q", spec)
 	}
 	if rows > graph.MaxTextNodes/cols { // rows×cols > MaxTextNodes, without overflow
 		return nil, fmt.Errorf("topology: %q has more than %d nodes", spec, graph.MaxTextNodes)
+	}
+	if dense && rows*(rows-1)/2 > graph.MaxTextLinks {
+		return nil, fmt.Errorf("topology: %q may have more than %d links", spec, graph.MaxTextLinks)
 	}
 	return build(), nil
 }

@@ -167,9 +167,10 @@ func TestRandomDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-// TestByNameRejectsOversizeSpecs covers specs past graph.MaxTextNodes:
-// a dense system of that size takes ns² bytes, so each must be rejected
-// from its name alone, allocating well under a megabyte.
+// TestByNameRejectsOversizeSpecs covers specs past graph.MaxTextNodes
+// nodes, and complete and random specs that may pass graph.MaxTextLinks
+// links: a system costs 16 bytes per link, so each must be rejected from
+// its name alone, allocating well under a megabyte.
 func TestByNameRejectsOversizeSpecs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, spec := range []string{
@@ -177,6 +178,7 @@ func TestByNameRejectsOversizeSpecs(t *testing.T) {
 		"ring-16385", "ring-1000000", "chain-99999999", "star-20000", "complete-1000000",
 		"btree-16385", "random-1000000", "mesh-128x129", "torus-1000000x1000000",
 		"mesh-4611686018427387904x4", "torus-3037000500x3037000500",
+		"complete-2897", "random-2897",
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

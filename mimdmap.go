@@ -87,7 +87,9 @@ type (
 	// frozen problem). From then on SetEdge panics. Build the problem
 	// completely first, or edit a Clone; Clone and Equal never freeze.
 	Problem = graph.Problem
-	// System is the undirected processor interconnection topology.
+	// System is the undirected processor interconnection topology, kept
+	// as sorted neighbour lists: add links with AddLink, query them with
+	// HasLink, Degree and Neighbors (whose slice is shared and read-only).
 	System = graph.System
 	// Clustering maps each task to one of K clusters (K == processors).
 	Clustering = graph.Clustering
