@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint vuln bench bench-smoke bench-module fuzz-smoke examples-smoke ci clean
+.PHONY: all build test golden race vet lint vuln bench bench-smoke bench-module fuzz-smoke examples-smoke ci clean
 
 all: ci
 
@@ -12,6 +12,13 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Rewrite cmd/mapbench/testdata/*.golden from the current mapbench output.
+# `make test` compares every reproduction mode's report against these files
+# byte for byte; regenerate them only for an intended output change, and
+# review the diff.
+golden:
+	$(GO) test ./cmd/mapbench -run TestGoldenReports -update
 
 # Race-detector pass over every package; the worker pool, the multi-start
 # mapper and the experiment fan-out all have tests that exercise shared
