@@ -235,7 +235,12 @@ func TestJobStoreBoundsAndTTL(t *testing.T) {
 	if err := solver.Admission.Acquire(ctx); err != nil {
 		t.Fatal(err) // all slots taken: the next job waits in admission
 	}
-	idQueued, err := store.submitSingle(req)
+	// The queued job must miss the response cache: a repeat of req is
+	// answered from the cache before the admission stage, finishes at once
+	// and frees its place in the store.
+	idQueued, err := store.submitSingle(&mimdmap.Request{
+		Problem: prob, Topology: "mesh-2x3", Clusterer: "blocks", Seed: 3, NoCache: true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

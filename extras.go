@@ -132,7 +132,9 @@ func RenderGantt(res *Schedule, c *Clustering, a *Assignment, numProcs int) stri
 func FromPerm(perm []int) *Assignment { return schedule.FromPerm(perm) }
 
 // LinkDelays assigns heterogeneous per-link delay factors to a machine
-// (Options.Delays). All delays must be ≥ 1.
+// (Options.Delays). Start from UnitLinkDelays, write a link's delay with
+// Set(a, b, delay) (it applies to both directions) and read one with
+// At(a, b). All delays on links must be ≥ 1.
 type LinkDelays = paths.LinkDelays
 
 // UnitLinkDelays returns delay 1 on every link of an n-node machine.
@@ -151,7 +153,8 @@ func NewEvaluatorWithDistances(p *Problem, c *Clustering, dist *DistanceTable) (
 }
 
 // RouteTable holds the canonical shortest-path routes of a machine, used by
-// the link-contention evaluator.
+// the link-contention evaluator. It exports no fields: Path(a, b) returns a
+// route's processors and Links(a, b) its canonical link IDs.
 type RouteTable = paths.Routes
 
 // NewRouteTable derives canonical (lowest-neighbour) shortest-path routes

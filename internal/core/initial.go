@@ -176,9 +176,9 @@ type placedNeighbour struct{ proc, w int }
 // The paper's step (b) accepts any free system node that is "a neighbor of
 // some marked node"; when several qualify it ranks by system-node degree
 // only. Within that freedom we rank candidates by the total weighted
-// distance to all placed neighbours of va — Σ weight(va,l) × dist(cand,
-// proc(l)) — which keeps the whole neighbourhood close rather than a single
-// anchor (ties: higher degree, then lower ID). Step (c) applies the same
+// distance from all placed neighbours of va — Σ weight(va,l) ×
+// dist(proc(l), cand) — which keeps the whole neighbourhood close rather
+// than a single anchor (ties: higher degree, then lower ID). Step (c) applies the same
 // rule over all free nodes when no free node is adjacent to any placed
 // neighbour. adjacent reports whether the chosen node is directly linked to
 // a placed neighbour's processor (the condition under which step 2 marks va
@@ -199,15 +199,16 @@ func (m *Mapper) pickSystemNode(va int, weight, deg []int, visitedSys []bool, as
 		return -1, false
 	}
 
+	dist, ns := m.dist.ToMajor(), len(visitedSys)
 	best, bestCost, bestAdj := -1, 0, false
 	for v, used := range visitedSys {
 		if used {
 			continue
 		}
-		distRow := m.dist.Dist[v]
+		into := dist[v*ns : v*ns+ns] // into[p] = dist(p, v)
 		cost := 0
 		for _, nbr := range neighbours {
-			cost += nbr.w * distRow[nbr.proc]
+			cost += nbr.w * into[nbr.proc]
 		}
 		adj := false
 		for _, w := range m.sys.Neighbors(v) {

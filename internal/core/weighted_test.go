@@ -54,7 +54,7 @@ func TestDelaysRejectedWhenInvalid(t *testing.T) {
 	c.Of = []int{0, 1}
 	s := topology.Chain(2)
 	bad := paths.NewLinkDelays(2)
-	bad.Delay[0][1] = 0
+	bad.Set(0, 1, 0)
 	if _, err := New(p, c, s, Options{Delays: bad}); err == nil {
 		t.Fatal("invalid delays accepted")
 	}

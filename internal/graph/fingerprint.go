@@ -116,15 +116,6 @@ func (h *Hasher) Ints(xs []int) {
 	}
 }
 
-// Matrix writes one length-prefixed matrix of ints (row lengths included,
-// so ragged and square matrices encode distinctly).
-func (h *Hasher) Matrix(m [][]int) {
-	h.Int(len(m))
-	for _, row := range m {
-		h.Ints(row)
-	}
-}
-
 // Fold writes a previously computed fingerprint, composing hierarchical
 // fingerprints without re-hashing the underlying structure.
 func (h *Hasher) Fold(f Fingerprint) { h.h.Write(f[:]) }

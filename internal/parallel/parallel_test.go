@@ -133,10 +133,17 @@ func TestForEachErrorCancelsPending(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 4} {
 		var ran atomic.Int32
-		err := ForEach(context.Background(), 1000, workers, func(_ context.Context, i int) error {
+		err := ForEach(context.Background(), 1000, workers, func(ctx context.Context, i int) error {
 			ran.Add(1)
 			if i == 5 {
 				return fmt.Errorf("task %d: %w", i, boom)
+			}
+			if i > 5 {
+				// Index 5 is handed out before any later one, so a later
+				// task can only end once the error has cancelled the pool.
+				// Without this wait the other workers could finish all
+				// 1000 trivial tasks before the cancellation lands.
+				<-ctx.Done()
 			}
 			return nil
 		})

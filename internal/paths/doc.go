@@ -14,8 +14,10 @@
 // evaluator assumes.
 //
 // Distance tables are immutable once built and safe to share: the solver
-// layer caches one per machine, and every evaluator built from it reads it
-// concurrently without locks.
+// layer caches one per machine, and every evaluator built from it reads
+// its cells in place (Table.ToMajor), concurrently and without locks. The
+// tables keep their cells in unexported flat slices; no other package
+// depends on how they are laid out beyond ToMajor's documented order.
 //
 //mapcheck:deterministic
 package paths

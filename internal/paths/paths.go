@@ -13,35 +13,45 @@ const Unreachable = int(^uint(0) >> 1) // max int
 
 // Table is the all-pairs shortest path matrix of a system graph.
 type Table struct {
-	// Dist[a][b] is the minimum number of links on a route a→b;
-	// Dist[a][a] == 0.
-	Dist [][]int
+	n int
+	// d[to*n+from] is the minimum number of links on a route from→to; the
+	// diagonal is 0. To-major order keeps the distances from every
+	// processor into one destination contiguous, which is the order the
+	// evaluator reads them in.
+	d []int
 }
 
+// square returns the n×n cells of a pairwise table, every one set to fill.
+// It is the one allocation behind Table, Routes and LinkDelays.
+func square(n, fill int) []int {
+	cells := make([]int, n*n)
+	for i := range cells {
+		cells[i] = fill
+	}
+	return cells
+}
+
+// newTable returns an n-node table with every pair Unreachable.
+func newTable(n int) *Table { return &Table{n: n, d: square(n, Unreachable)} }
+
 // New computes the shortest-path table of s by BFS from every node over its
-// neighbour lists, so each BFS visits every node and link once.
+// neighbour lists, so each BFS visits every node and link once. Links are
+// undirected, so the search outward from a destination finds every
+// processor's distance into it and fills one contiguous to-row.
 // Complexity O(ns·(ns+links)).
 func New(s *graph.System) *Table {
 	n := s.NumNodes()
-	t := &Table{Dist: make([][]int, n)}
-	cells := make([]int, n*n)
-	for i := range t.Dist {
-		t.Dist[i], cells = cells[:n:n], cells[n:]
-	}
+	t := newTable(n)
 	queue := make([]int, 0, n)
-	for src := 0; src < n; src++ {
-		row := t.Dist[src]
-		for j := range row {
-			row[j] = Unreachable
-		}
-		row[src] = 0
-		queue = queue[:0]
-		queue = append(queue, src)
+	for to := 0; to < n; to++ {
+		into := t.d[to*n : to*n+n]
+		into[to] = 0
+		queue = append(queue[:0], to)
 		for head := 0; head < len(queue); head++ {
 			v := queue[head]
 			for _, w := range s.Neighbors(v) {
-				if row[w] == Unreachable {
-					row[w] = row[v] + 1
+				if into[w] == Unreachable {
+					into[w] = into[v] + 1
 					queue = append(queue, w)
 				}
 			}
@@ -54,32 +64,26 @@ func New(s *graph.System) *Table {
 // recurrence. It exists as an independent oracle for tests.
 func FloydWarshall(s *graph.System) *Table {
 	n := s.NumNodes()
-	t := &Table{Dist: make([][]int, n)}
-	cells := make([]int, n*n)
-	for i := range t.Dist {
-		t.Dist[i], cells = cells[:n:n], cells[n:]
-	}
+	t := newTable(n)
+	set := func(from, to, d int) { t.d[to*n+from] = d }
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			t.Dist[i][j] = Unreachable
-		}
-		t.Dist[i][i] = 0
+		set(i, i, 0)
 		for _, j := range s.Neighbors(i) {
-			t.Dist[i][j] = 1
+			set(i, j, 1)
 		}
 	}
 	for k := 0; k < n; k++ {
 		for i := 0; i < n; i++ {
-			dik := t.Dist[i][k]
+			dik := t.At(i, k)
 			if dik == Unreachable {
 				continue
 			}
 			for j := 0; j < n; j++ {
-				if t.Dist[k][j] == Unreachable {
+				if t.At(k, j) == Unreachable {
 					continue
 				}
-				if d := dik + t.Dist[k][j]; d < t.Dist[i][j] {
-					t.Dist[i][j] = d
+				if d := dik + t.At(k, j); d < t.At(i, j) {
+					set(i, j, d)
 				}
 			}
 		}
@@ -88,23 +92,27 @@ func FloydWarshall(s *graph.System) *Table {
 }
 
 // NumNodes returns the number of processors covered by the table.
-func (t *Table) NumNodes() int { return len(t.Dist) }
+func (t *Table) NumNodes() int { return t.n }
 
-// At returns the shortest distance between processors a and b.
-func (t *Table) At(a, b int) int { return t.Dist[a][b] }
+// At returns the shortest distance from processor from to processor to.
+func (t *Table) At(from, to int) int { return t.d[to*t.n+from] }
+
+// ToMajor returns the table's cells in to-major order,
+// ToMajor()[to*n+from] == At(from, to), for hot loops that index distances
+// directly. The slice is the table's own storage, shared with every caller
+// and returned without allocating: it is read-only.
+func (t *Table) ToMajor() []int { return t.d }
 
 // Diameter returns the largest finite distance in the table, or Unreachable
 // if some pair is disconnected.
 func (t *Table) Diameter() int {
 	d := 0
-	for i := range t.Dist {
-		for j := range t.Dist[i] {
-			if t.Dist[i][j] == Unreachable {
-				return Unreachable
-			}
-			if t.Dist[i][j] > d {
-				d = t.Dist[i][j]
-			}
+	for _, x := range t.d {
+		if x == Unreachable {
+			return Unreachable
+		}
+		if x > d {
+			d = x
 		}
 	}
 	return d
@@ -113,8 +121,8 @@ func (t *Table) Diameter() int {
 // Eccentricity returns the largest distance from node v to any other node.
 func (t *Table) Eccentricity(v int) int {
 	e := 0
-	for _, d := range t.Dist[v] {
-		if d > e {
+	for to := 0; to < t.n; to++ {
+		if d := t.At(v, to); d > e {
 			e = d
 		}
 	}
@@ -125,58 +133,48 @@ func (t *Table) Eccentricity(v int) int {
 // distinct nodes. It panics if the table covers fewer than two nodes or any
 // pair is unreachable.
 func (t *Table) MeanDistance() float64 {
-	n := t.NumNodes()
+	n := t.n
 	if n < 2 {
 		panic("paths: mean distance needs at least two nodes")
 	}
 	sum := 0
-	for i := range t.Dist {
-		for j := range t.Dist[i] {
-			if i == j {
-				continue
-			}
-			if t.Dist[i][j] == Unreachable {
-				panic("paths: mean distance over disconnected graph")
-			}
-			sum += t.Dist[i][j]
+	for _, d := range t.d {
+		if d == Unreachable {
+			panic("paths: mean distance over disconnected graph")
 		}
+		sum += d // the diagonal adds 0
 	}
 	return float64(sum) / float64(n*(n-1))
 }
 
-// Validate checks the metric-space invariants of the table against the
-// system graph it was computed from: zero diagonal, symmetry, distance 1
-// exactly on links, and the triangle inequality.
+// Validate checks that the table is exactly the hop-count table of the
+// system graph: it is symmetric, d(a,a) = 0, and for a ≠ b
+// d(a,b) = 1 + min over neighbours v of a of d(v,b), or Unreachable when no
+// neighbour of a reaches b. Only the true shortest-path table satisfies
+// this recurrence, so a wrong distance anywhere — on a link or not — is
+// reported. Complexity O(ns·(ns+links)).
 func (t *Table) Validate(s *graph.System) error {
-	n := t.NumNodes()
+	n := t.n
 	if n != s.NumNodes() {
 		return fmt.Errorf("paths: table covers %d nodes, system has %d", n, s.NumNodes())
 	}
-	for i := 0; i < n; i++ {
-		if t.Dist[i][i] != 0 {
-			return fmt.Errorf("paths: Dist[%d][%d] = %d, want 0", i, i, t.Dist[i][i])
-		}
-		for j := 0; j < n; j++ {
-			if t.Dist[i][j] != t.Dist[j][i] {
-				return fmt.Errorf("paths: asymmetric distance %d—%d", i, j)
+	for b := 0; b < n; b++ {
+		into := t.d[b*n : b*n+n] // into[a] = At(a, b)
+		for a := 0; a < n; a++ {
+			if into[a] != t.At(b, a) {
+				return fmt.Errorf("paths: asymmetric distance %d—%d", a, b)
 			}
-			if t.Dist[i][j] != 1 && s.HasLink(i, j) {
-				return fmt.Errorf("paths: linked pair %d—%d at distance %d", i, j, t.Dist[i][j])
-			}
-			if i != j && t.Dist[i][j] == 0 {
-				return fmt.Errorf("paths: distinct pair %d—%d at distance 0", i, j)
-			}
-		}
-	}
-	for k := 0; k < n; k++ {
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if t.Dist[i][k] == Unreachable || t.Dist[k][j] == Unreachable {
-					continue
+			want := 0
+			if a != b {
+				want = Unreachable
+				for _, v := range s.Neighbors(a) {
+					if into[v] != Unreachable && into[v]+1 < want {
+						want = into[v] + 1
+					}
 				}
-				if t.Dist[i][j] > t.Dist[i][k]+t.Dist[k][j] {
-					return fmt.Errorf("paths: triangle inequality violated at (%d,%d,%d)", i, k, j)
-				}
+			}
+			if into[a] != want {
+				return fmt.Errorf("paths: distance %d→%d is %d, want %d", a, b, into[a], want)
 			}
 		}
 	}

@@ -126,21 +126,27 @@ func TestValidateAcceptsRealTables(t *testing.T) {
 }
 
 func TestValidateCatchesCorruption(t *testing.T) {
-	s := topology.Ring(5)
-	tab := New(s)
-	tab.Dist[1][2] = 3 // linked pair must be at distance 1
-	if err := tab.Validate(s); err == nil {
-		t.Fatal("Validate accepted corrupted table")
-	}
-	tab = New(s)
-	tab.Dist[0][0] = 1
-	if err := tab.Validate(s); err == nil {
-		t.Fatal("Validate accepted non-zero diagonal")
-	}
-	tab = New(s)
-	tab.Dist[0][2] = 1
-	if err := tab.Validate(s); err == nil {
-		t.Fatal("Validate accepted asymmetric entry")
+	for _, tc := range []struct {
+		name  string
+		s     *graph.System
+		cells [][3]int // from, to, corrupted distance
+	}{
+		{"linked pair off distance 1", topology.Ring(5), [][3]int{{1, 2, 3}}},
+		{"non-zero diagonal", topology.Ring(5), [][3]int{{0, 0, 1}}},
+		{"asymmetric entry", topology.Ring(5), [][3]int{{0, 2, 1}}},
+		// Symmetric corruptions that a one-direction link check misses:
+		// a non-link at distance 1, and a wrong distance between
+		// non-adjacent nodes (ring-8's antipodes are 4 apart).
+		{"symmetric non-link at 1", topology.Ring(5), [][3]int{{0, 2, 1}, {2, 0, 1}}},
+		{"symmetric short antipode", topology.Ring(8), [][3]int{{0, 4, 3}, {4, 0, 3}}},
+	} {
+		tab := New(tc.s)
+		for _, c := range tc.cells {
+			tab.d[c[1]*tab.n+c[0]] = c[2]
+		}
+		if err := tab.Validate(tc.s); err == nil {
+			t.Errorf("%s: Validate accepted the corrupted table", tc.name)
+		}
 	}
 }
 
@@ -177,8 +183,8 @@ func TestBFSMatchesFloydWarshallOnNamedTopologies(t *testing.T) {
 			t.Fatal(err)
 		}
 		bfs, fw := New(s), FloydWarshall(s)
-		for i := range bfs.Dist {
-			for j := range bfs.Dist[i] {
+		for i := 0; i < s.NumNodes(); i++ {
+			for j := 0; j < s.NumNodes(); j++ {
 				if bfs.At(i, j) != fw.At(i, j) {
 					t.Fatalf("%s: BFS distance %d→%d is %d, Floyd–Warshall says %d", spec, i, j, bfs.At(i, j), fw.At(i, j))
 				}

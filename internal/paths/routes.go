@@ -12,30 +12,27 @@ import (
 // route). The link-contention evaluator uses these fixed routes, the way a
 // 1991 message-passing machine with oblivious routing would.
 type Routes struct {
-	// Next[a][b] is the first hop on the canonical route a→b, or -1 when
+	n int
+	// first[b*n+a] is the first hop on the canonical route a→b, or -1 when
 	// a == b or b is unreachable from a.
-	Next [][]int
-	dist *Table
+	first []int
+	dist  *Table
 }
 
 // NewRoutes derives canonical routes from a system graph and its distance
 // table.
 func NewRoutes(s *graph.System, t *Table) *Routes {
 	n := s.NumNodes()
-	r := &Routes{Next: make([][]int, n), dist: t}
-	cells := make([]int, n*n)
-	for i := range r.Next {
-		r.Next[i], cells = cells[:n:n], cells[n:]
-	}
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
-			r.Next[a][b] = -1
-			if a == b || t.Dist[a][b] == Unreachable {
+	r := &Routes{n: n, first: square(n, -1), dist: t}
+	for b := 0; b < n; b++ {
+		for a := 0; a < n; a++ {
+			d := t.At(a, b)
+			if a == b || d == Unreachable {
 				continue
 			}
 			for _, v := range s.Neighbors(a) {
-				if t.Dist[v][b] == t.Dist[a][b]-1 {
-					r.Next[a][b] = v
+				if t.At(v, b) == d-1 {
+					r.first[b*n+a] = v
 					break
 				}
 			}
@@ -44,18 +41,22 @@ func NewRoutes(s *graph.System, t *Table) *Routes {
 	return r
 }
 
+// next returns the first hop on the canonical route a→b, or -1 when a == b
+// or b is unreachable from a.
+func (r *Routes) next(a, b int) int { return r.first[b*r.n+a] }
+
 // Path returns the canonical node sequence from a to b, inclusive of both
 // endpoints; Path(a, a) is [a]. It returns nil when b is unreachable.
 func (r *Routes) Path(a, b int) []int {
 	if a == b {
 		return []int{a}
 	}
-	if r.Next[a][b] == -1 {
+	if r.next(a, b) == -1 {
 		return nil
 	}
 	path := []int{a}
 	for v := a; v != b; {
-		v = r.Next[v][b]
+		v = r.next(v, b)
 		path = append(path, v)
 	}
 	return path
@@ -69,9 +70,8 @@ func (r *Routes) Links(a, b int) []int {
 		return nil
 	}
 	links := make([]int, 0, len(path)-1)
-	n := len(r.Next)
 	for i := 0; i+1 < len(path); i++ {
-		links = append(links, LinkID(path[i], path[i+1], n))
+		links = append(links, LinkID(path[i], path[i+1], r.n))
 	}
 	return links
 }
@@ -98,13 +98,13 @@ func (r *Routes) Validate(s *graph.System) error {
 				if len(path) != 1 {
 					return fmt.Errorf("paths: route %d→%d should be trivial", a, b)
 				}
-			case r.dist.Dist[a][b] == Unreachable:
+			case r.dist.At(a, b) == Unreachable:
 				if path != nil {
 					return fmt.Errorf("paths: route exists for unreachable pair %d→%d", a, b)
 				}
 			default:
-				if len(path)-1 != r.dist.Dist[a][b] {
-					return fmt.Errorf("paths: route %d→%d has %d hops, want %d", a, b, len(path)-1, r.dist.Dist[a][b])
+				if len(path)-1 != r.dist.At(a, b) {
+					return fmt.Errorf("paths: route %d→%d has %d hops, want %d", a, b, len(path)-1, r.dist.At(a, b))
 				}
 				for i := 0; i+1 < len(path); i++ {
 					if !s.HasLink(path[i], path[i+1]) {

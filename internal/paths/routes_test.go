@@ -77,7 +77,7 @@ func TestRoutesValidateProperty(t *testing.T) {
 func TestRoutesValidateCatchesCorruption(t *testing.T) {
 	s := topology.Ring(5)
 	r := NewRoutes(s, New(s))
-	r.Next[0][2] = 3 // wrong direction: route becomes longer
+	r.first[2*r.n+0] = 3 // wrong direction: route becomes longer
 	if err := r.Validate(s); err == nil {
 		t.Fatal("Validate accepted corrupted route")
 	}

@@ -18,49 +18,39 @@ import (
 
 // LinkDelays assigns every link of a machine an integer delay factor.
 type LinkDelays struct {
-	// Delay[a][b] is the per-weight-unit cost of link a—b (symmetric,
+	n int
+	// delay[a*n+b] is the per-weight-unit cost of link a—b (symmetric,
 	// ≥ 1); entries for non-links are ignored.
-	Delay [][]int
+	delay []int
 }
 
 // NewLinkDelays returns unit delays for an n-node machine.
-func NewLinkDelays(n int) *LinkDelays {
-	d := &LinkDelays{Delay: make([][]int, n)}
-	cells := make([]int, n*n)
-	for i := range d.Delay {
-		d.Delay[i], cells = cells[:n:n], cells[n:]
-	}
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
-			d.Delay[a][b] = 1
-		}
-	}
-	return d
-}
+func NewLinkDelays(n int) *LinkDelays { return &LinkDelays{n: n, delay: square(n, 1)} }
 
-// Set records the symmetric delay of link a—b.
+// NumNodes returns the number of processors the delays cover.
+func (d *LinkDelays) NumNodes() int { return d.n }
+
+// Set records the symmetric delay of link a—b. It is the only writer, so
+// delays are symmetric by construction.
 func (d *LinkDelays) Set(a, b, delay int) {
-	d.Delay[a][b] = delay
-	d.Delay[b][a] = delay
+	d.delay[a*d.n+b] = delay
+	d.delay[b*d.n+a] = delay
 }
 
-// Validate checks the delays against a machine: square, symmetric, and ≥ 1
-// on every existing link.
+// At returns the delay of link a—b.
+func (d *LinkDelays) At(a, b int) int { return d.delay[a*d.n+b] }
+
+// Validate checks the delays against a machine: they cover its nodes and
+// are ≥ 1 on every existing link.
 func (d *LinkDelays) Validate(s *graph.System) error {
 	n := s.NumNodes()
-	if len(d.Delay) != n {
-		return fmt.Errorf("paths: delays cover %d nodes, machine has %d", len(d.Delay), n)
+	if d.n != n {
+		return fmt.Errorf("paths: delays cover %d nodes, machine has %d", d.n, n)
 	}
 	for a := 0; a < n; a++ {
-		if len(d.Delay[a]) != n {
-			return fmt.Errorf("paths: delay row %d has %d columns, want %d", a, len(d.Delay[a]), n)
-		}
 		for _, b := range s.Neighbors(a) {
-			if d.Delay[a][b] < 1 {
-				return fmt.Errorf("paths: link %d—%d has delay %d, want ≥ 1", a, b, d.Delay[a][b])
-			}
-			if d.Delay[a][b] != d.Delay[b][a] {
-				return fmt.Errorf("paths: asymmetric delay on link %d—%d", a, b)
+			if d.At(a, b) < 1 {
+				return fmt.Errorf("paths: link %d—%d has delay %d, want ≥ 1", a, b, d.At(a, b))
 			}
 		}
 	}
@@ -92,33 +82,28 @@ func (q *dijkstraQueue) Pop() any {
 }
 
 // NewWeighted computes the all-pairs weighted shortest-path table of s
-// under the given link delays, by Dijkstra from every node. With unit
-// delays it equals New(s).
+// under the given link delays, by Dijkstra from every node. Links and
+// their delays are undirected, so the search outward from a destination
+// finds every processor's distance into it. With unit delays it equals
+// New(s).
 func NewWeighted(s *graph.System, delays *LinkDelays) (*Table, error) {
 	if err := delays.Validate(s); err != nil {
 		return nil, err
 	}
 	n := s.NumNodes()
-	t := &Table{Dist: make([][]int, n)}
-	cells := make([]int, n*n)
-	for i := range t.Dist {
-		t.Dist[i], cells = cells[:n:n], cells[n:]
-	}
-	for src := 0; src < n; src++ {
-		row := t.Dist[src]
-		for i := range row {
-			row[i] = Unreachable
-		}
-		row[src] = 0
-		q := dijkstraQueue{{src, 0}}
+	t := newTable(n)
+	for to := 0; to < n; to++ {
+		into := t.d[to*n : to*n+n]
+		into[to] = 0
+		q := dijkstraQueue{{to, 0}}
 		for q.Len() > 0 {
 			it := heap.Pop(&q).(dijkstraItem)
-			if it.dist > row[it.node] {
+			if it.dist > into[it.node] {
 				continue // stale entry
 			}
 			for _, v := range s.Neighbors(it.node) {
-				if nd := it.dist + delays.Delay[it.node][v]; nd < row[v] {
-					row[v] = nd
+				if nd := it.dist + delays.At(v, it.node); nd < into[v] {
+					into[v] = nd
 					heap.Push(&q, dijkstraItem{v, nd})
 				}
 			}

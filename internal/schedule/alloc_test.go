@@ -20,6 +20,22 @@ func TestTotalTimeZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestEvaluatorSharesDistanceTable pins that evaluators read the machine's
+// distance table in place: the evaluator's distance slice, and every
+// fork's, is the table's own to-major storage rather than a copy.
+func TestEvaluatorSharesDistanceTable(t *testing.T) {
+	e, _ := benchInstance(t, topology.Mesh(4, 4), 7)
+	cells := e.Dist.ToMajor()
+	for _, h := range []struct {
+		name string
+		ev   *Evaluator
+	}{{"evaluator", e}, {"fork", e.Fork()}, {"fork of fork", e.Fork().Fork()}} {
+		if len(h.ev.distT) != len(cells) || &h.ev.distT[0] != &cells[0] {
+			t.Errorf("%s: distance slice is not the table's storage", h.name)
+		}
+	}
+}
+
 // TestSwapSessionZeroAllocs pins the refinement trial contract on every
 // refine benchmark machine: after a session is built, TrySwap,
 // TrySwapBatch and Commit allocate nothing.

@@ -108,7 +108,8 @@ type Result struct {
 // system) triple. It packs the problem's frozen view (graph.View) into a
 // flattened, topologically renumbered predecessor structure carrying the
 // clustered edge weights, so repeated evaluation during refinement performs
-// no per-call allocation; building one costs O(np + edges + ns²).
+// no per-call allocation; building one costs O(np + edges). The distance
+// table is read in place, never copied.
 //
 // An Evaluator owns a scratch arena reused by TotalTime and EvaluateInto
 // and is therefore NOT safe for concurrent use. Concurrent callers — the
@@ -129,7 +130,7 @@ type Evaluator struct {
 	// sequentially; predecessor edges are packed into one int32 record
 	// stream per kind to keep the per-edge cache traffic to a single line.
 	ns        int        // number of processors
-	distT     []int      // distT[to*ns+from] = Dist.At(from, to), transposed flat
+	distT     []int      // distT[to*ns+from] = Dist.At(from, to): Dist.ToMajor(), shared
 	size      []int32    // size[t] = Prob.Size[order[t]]
 	clusOf    []int32    // clusOf[t] = Clus.Of[order[t]]
 	commOff   []int32    // CSR offsets (len n+1) into commEdges
@@ -209,20 +210,15 @@ func (e *Evaluator) View() *graph.View { return e.view }
 // 0 when it stays inside one.
 func (e *Evaluator) CEdge(id int) int { return e.Clus.CommWeight(e.view.Arcs()[id]) }
 
-// precompute flattens the evaluation state: the transposed distance matrix
-// and the predecessor CSR split into communication-free and communicating
-// edges, both indexed by topological position. The records are packed
-// straight from the view's predecessor lists (sources ascending).
+// precompute flattens the evaluation state: the predecessor CSR split into
+// communication-free and communicating edges, indexed by topological
+// position. The records are packed straight from the view's predecessor
+// lists (sources ascending). Distances are read from the table's own
+// to-major cells.
 func (e *Evaluator) precompute() {
 	n := e.Prob.NumTasks()
-	ns := e.Dist.NumNodes()
-	e.ns = ns
-	e.distT = make([]int, ns*ns)
-	for from := 0; from < ns; from++ {
-		for to := 0; to < ns; to++ {
-			e.distT[to*ns+from] = e.Dist.At(from, to)
-		}
-	}
+	e.ns = e.Dist.NumNodes()
+	e.distT = e.Dist.ToMajor()
 	pos := make([]int32, n) // pos[task] = topological position
 	for t, i := range e.order {
 		pos[i] = int32(t)

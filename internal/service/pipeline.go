@@ -207,13 +207,13 @@ func canonicalKey(req *Request, seed int64) string {
 	h.Int64(o.Seed)
 	if o.Delays != nil {
 		h.Bool(true)
-		h.Matrix(o.Delays.Delay)
+		hashPairs(h, o.Delays.NumNodes(), o.Delays.At)
 	} else {
 		h.Bool(false)
 	}
 	if o.Dist != nil {
 		h.Bool(true)
-		h.Matrix(o.Dist.Dist)
+		hashPairs(h, o.Dist.NumNodes(), o.Dist.At)
 	} else {
 		h.Bool(false)
 	}
@@ -230,6 +230,20 @@ func canonicalKey(req *Request, seed int64) string {
 	}
 	h.Bool(req.OmitSchedule)
 	return h.Sum().String()
+}
+
+// hashPairs folds an n×n pairwise machine table (distances or link delays)
+// into h as n rows of n cells, row a holding at(a, 0) … at(a, n-1), each
+// row length-prefixed. This is the encoding the request digest has always
+// used, whatever layout the table keeps in memory.
+func hashPairs(h *graph.Hasher, n int, at func(a, b int) int) {
+	h.Int(n)
+	for a := 0; a < n; a++ {
+		h.Int(n)
+		for b := 0; b < n; b++ {
+			h.Int(at(a, b))
+		}
+	}
 }
 
 // cacheLookup probes the response cache and joins the in-flight dedup. On

@@ -115,6 +115,10 @@ type (
 	// Options tunes the mapper; the zero value follows the paper.
 	Options = core.Options
 	// DistanceTable is the all-pairs shortest-path matrix of a machine.
+	// It exports no fields: read a distance with At(from, to). It is
+	// immutable once built and safe to share, so one table can serve
+	// every evaluator and solve on the same machine; evaluators read it
+	// in place rather than copying it.
 	DistanceTable = paths.Table
 	// Clusterer groups tasks into clusters.
 	Clusterer = cluster.Clusterer
