@@ -13,12 +13,14 @@ build:
 test:
 	$(GO) test ./...
 
-# Rewrite cmd/mapbench/testdata/*.golden from the current mapbench output.
-# `make test` compares every reproduction mode's report against these files
-# byte for byte; regenerate them only for an intended output change, and
-# review the diff.
+# Rewrite cmd/mapbench/testdata/*.golden from the current mapbench output,
+# and cmd/mapserve/testdata/*.golden from the current /solve and /remap
+# response bodies. `make test` compares every reproduction mode's report and
+# every pinned body against these files byte for byte; regenerate them only
+# for an intended output change, and review the diff.
 golden:
 	$(GO) test ./cmd/mapbench -run TestGoldenReports -update
+	$(GO) test ./cmd/mapserve -run TestGoldenBodies -update
 
 # Race-detector pass over every package; the worker pool, the multi-start
 # mapper and the experiment fan-out all have tests that exercise shared
