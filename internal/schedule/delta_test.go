@@ -349,25 +349,6 @@ func TestKernelPolicyBacksOffOnWideCones(t *testing.T) {
 	}
 }
 
-// pipelines builds a narrow-cone instance: independent chains of `stages`
-// tasks, every task dealt to a random one of k clusters. A swap's cone is
-// the few chains through the two clusters, so walks complete.
-func pipelines(chains, stages, k int, rng *rand.Rand) (*graph.Problem, *graph.Clustering) {
-	n := chains * stages
-	p := graph.NewProblem(n)
-	c := graph.NewClustering(n, k)
-	for i, t := range rng.Perm(n) {
-		c.Of[t] = i % k
-	}
-	for t := 0; t < n; t++ {
-		p.Size[t] = 1 + rng.Intn(20)
-		if t%stages > 0 {
-			p.SetEdge(t-1, t, 1+rng.Intn(5))
-		}
-	}
-	return p, c
-}
-
 // TestKernelPolicyKeepsNarrowConesOnDelta pins the other half: on an
 // instance whose cones stay small, the back-off must not push batches off
 // the delta path — most kernel calls are still priced by the cone walk.
