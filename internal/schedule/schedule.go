@@ -136,18 +136,6 @@ type Evaluator struct {
 	commOff   []int32    // CSR offsets (len n+1) into commEdges
 	commEdges []commEdge // predecessor edges in topo order (w == 0 when local)
 
-	// Delta-evaluation precomputation (see delta.go): the successor CSR
-	// mirrors commEdges for downstream cone propagation, and the affected
-	// CSR lists, per cluster c, the topological positions whose start time
-	// may change when cluster c moves to another processor — the tasks with
-	// a communicating (w > 0) predecessor edge touching c on either end.
-	// Both are read-only after construction and shared by every Fork.
-	succOff  []int32 // CSR offsets (len n+1) into succs
-	succs    []int32 // successor topo positions, grouped by predecessor
-	affOff   []int32 // CSR offsets (len K+1) into affTasks
-	affTasks []int32 // affected topo positions per cluster, ascending
-	affCost  []int32 // per-cluster edge-record count of the affected tasks
-
 	// end is the per-evaluator scratch arena (end times by topo position).
 	// It is the only mutable state and the reason Fork exists.
 	end []int
@@ -242,81 +230,6 @@ func (e *Evaluator) precompute() {
 		}
 	}
 	e.end = make([]int, n)
-	e.precomputeDelta()
-}
-
-// precomputeDelta builds the read-only structures the incremental cone
-// kernel (delta.go) walks: the successor CSR (inverse of commEdges) and the
-// per-cluster affected-task CSR. A task t is affected by cluster c when it
-// has a communicating predecessor edge (w > 0) whose consumer or producer
-// cluster is c — exactly the tasks whose start time can change when c moves.
-// Edges with w == 0 cost nothing at any distance and never seed a cone.
-func (e *Evaluator) precomputeDelta() {
-	n := len(e.size)
-	e.succOff = make([]int32, n+1)
-	for i := range e.commEdges {
-		e.succOff[e.commEdges[i].pred+1]++
-	}
-	for t := 0; t < n; t++ {
-		e.succOff[t+1] += e.succOff[t]
-	}
-	e.succs = make([]int32, len(e.commEdges))
-	cursor := make([]int32, n)
-	copy(cursor, e.succOff[:n])
-	for t := 0; t < n; t++ {
-		for _, ce := range e.commEdges[e.commOff[t]:e.commOff[t+1]] {
-			e.succs[cursor[ce.pred]] = int32(t)
-			cursor[ce.pred]++
-		}
-	}
-
-	k := e.Clus.K
-	e.affOff = make([]int32, k+1)
-	last := make([]int32, k) // last[c]: latest position appended for c, dedup
-	affCursor := make([]int32, k)
-	for pass := 0; pass < 2; pass++ {
-		for c := range last {
-			last[c] = -1
-		}
-		for t := 0; t < n; t++ {
-			for _, ce := range e.commEdges[e.commOff[t]:e.commOff[t+1]] {
-				if ce.w == 0 {
-					continue
-				}
-				for _, c := range [2]int32{e.clusOf[t], ce.clus} {
-					if last[c] == int32(t) {
-						continue
-					}
-					last[c] = int32(t)
-					if e.affTasks == nil {
-						e.affOff[c+1]++
-					} else {
-						e.affTasks[e.affOff[c]+affCursor[c]] = int32(t)
-						affCursor[c]++
-					}
-				}
-			}
-		}
-		if e.affTasks == nil && pass == 0 {
-			for c := 0; c < k; c++ {
-				e.affOff[c+1] += e.affOff[c]
-			}
-			e.affTasks = make([]int32, e.affOff[k])
-		}
-	}
-
-	// affCost[c] is the edge-record count of cluster c's affected tasks:
-	// the direct (pre-propagation) cost of walking a cone that c seeds.
-	// Summing it per lane gives tryDeltaBatch a free lower-bound estimate
-	// of a batch's cone work before marking anything.
-	e.affCost = make([]int32, k)
-	for c := 0; c < k; c++ {
-		var cost int32
-		for _, t := range e.affTasks[e.affOff[c]:e.affOff[c+1]] {
-			cost += e.commOff[t+1] - e.commOff[t]
-		}
-		e.affCost[c] = cost
-	}
 }
 
 // Fork returns an independent evaluation handle: it shares every read-only
@@ -328,25 +241,6 @@ func (e *Evaluator) Fork() *Evaluator {
 	f := *e
 	f.end = make([]int, len(e.end))
 	return &f
-}
-
-// CommMatrix returns the communication matrix comm[np][np] under assignment
-// a: comm[j][i] = clus_edge[j][i] × shortest[proc(j)][proc(i)] (Algorithm I
-// of §4.3.4). Intra-cluster entries are zero. It materialises the paper's
-// dense matrix for inspection; evaluation never builds it.
-func (e *Evaluator) CommMatrix(a *Assignment) [][]int {
-	n := e.Prob.NumTasks()
-	comm := make([][]int, n)
-	cells := make([]int, n*n)
-	for i := range comm {
-		comm[i], cells = cells[:n:n], cells[n:]
-	}
-	for id, arc := range e.view.Arcs() {
-		if w := e.CEdge(id); w > 0 {
-			comm[arc.From][arc.To] = w * e.Dist.At(a.ProcOf[e.Clus.Of[arc.From]], a.ProcOf[e.Clus.Of[arc.To]])
-		}
-	}
-	return comm
 }
 
 // Evaluate computes start/end times and the total time of assignment a

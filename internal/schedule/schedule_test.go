@@ -153,25 +153,36 @@ func TestEvaluateBadPlacementStretchesCriticalEdge(t *testing.T) {
 	}
 }
 
-func TestCommMatrix(t *testing.T) {
+// TestTraceMessageCosts checks the paper's comm[j][i] = clus_edge[j][i] ×
+// shortest[proc(j)][proc(i)] (Algorithm I of §4.3.4) on the messages of a
+// trace: their cost is weight × distance, and an intra-cluster precedence
+// or a missing edge carries no message at all.
+func TestTraceMessageCosts(t *testing.T) {
 	e := newEval(t)
 	a := FromPerm([]int{2, 3, 0, 1})
-	comm := e.CommMatrix(a)
-	// Inter-cluster at distance 1: weight unchanged.
-	if comm[8][9] != 3 {
-		t.Fatalf("comm[8][9] = %d, want 3", comm[8][9])
+	msgs := map[[2]int]Message{}
+	for _, m := range e.Trace(a, e.Evaluate(a)) {
+		msgs[[2]int{m.Src, m.Dst}] = m
 	}
-	// B (proc 3) to D (proc 1): ring distance 2, weight 1 → 2.
-	if comm[5][10] != 2 {
-		t.Fatalf("comm[5][10] = %d, want 2", comm[5][10])
+	for _, tc := range []struct {
+		src, dst, weight, dist int
+	}{
+		{8, 9, 3, 1},  // inter-cluster at distance 1: weight unchanged
+		{5, 10, 1, 2}, // B (proc 3) to D (proc 1): ring distance 2
+	} {
+		m, ok := msgs[[2]int{tc.src, tc.dst}]
+		if !ok {
+			t.Fatalf("no message %d→%d", tc.src, tc.dst)
+		}
+		if m.Weight != tc.weight || m.Distance != tc.dist || m.Arrival-m.Departure != tc.weight*tc.dist {
+			t.Fatalf("message %d→%d = %+v, want weight %d × distance %d", tc.src, tc.dst, m, tc.weight, tc.dist)
+		}
 	}
-	// Intra-cluster: zero.
-	if comm[0][1] != 0 {
-		t.Fatalf("comm[0][1] = %d, want 0", comm[0][1])
-	}
-	// No edge: zero.
-	if comm[0][9] != 0 {
-		t.Fatalf("comm[0][9] = %d, want 0", comm[0][9])
+	// Intra-cluster edge, and no edge at all: no message.
+	for _, pair := range [][2]int{{0, 1}, {0, 9}} {
+		if m, ok := msgs[pair]; ok {
+			t.Fatalf("unexpected message %d→%d: %+v", pair[0], pair[1], m)
+		}
 	}
 }
 

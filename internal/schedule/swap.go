@@ -81,24 +81,18 @@ func (v *laneViews) commitAssign(procOf []int) {
 // full Evaluator.TotalTime of each swapped assignment — so accept/reject
 // decisions stay bit-identical to trial-at-a-time refinement.
 //
-// Since the delta-evaluation work (delta.go), both TrySwap and
-// TrySwapBatch first consult the session's priced-pair table (a swap's
-// exact total depends only on the pair and the committed incumbent, so
-// totals priced since the last commit replay for free), then attempt
-// incremental cone pricing — re-evaluating only the tasks downstream of
-// the two swapped processors against the committed incumbent's cached end
-// times — and fall back to the full pass when the cone outgrows the
-// session's budget, or when recent cones did and the session is backing
-// off from walking them. Totals are exact on every path.
+// Both TrySwap and TrySwapBatch first consult the session's priced-pair
+// table: a swap's exact total depends only on the pair and the committed
+// incumbent, so totals priced since the last commit replay for free. A
+// miss costs one full pass — scalar for TrySwap, the interleaved kernel
+// for TrySwapBatch.
 //
 // Protocol: TrySwap/TrySwapBatch/TryAssign never change the committed
 // state; Commit promotes the most recent TrySwap, CommitSwap accepts a swap
 // whose exact total the caller already knows (e.g. a TrySwapBatch lane),
 // and CommitAssign replaces the incumbent wholesale (full-reshuffle moves,
-// annealing restarts, Bokhari jumps). CommitSwap brings the cached end
-// times in line by adopting the ends a full pricing pass of that very swap
-// left behind — when the most recent such pass priced it and nothing has
-// overwritten them since — and otherwise by re-walking the swap's cone. A
+// annealing restarts, Bokhari jumps). The session caches no end times, so
+// every commit is O(1) apart from CommitAssign's copy of the assignment. A
 // session allocates only at construction; every Try/Commit method is
 // allocation-free. Sessions share the Evaluator's read-only precomputation,
 // so concurrent refinement chains may each run their own session against
@@ -112,24 +106,6 @@ type SwapSession struct {
 	lanes laneViews        // lane-major views of the batch kernel
 	endB  [][SwapLanes]int // lane-interleaved end times of the batch pass
 
-	// Delta-evaluation state (delta.go): the committed incumbent's end
-	// times by topo position, their running prefix and suffix maxima (the
-	// suffix cache lets the cone scan stop at its last pending mark), the
-	// per-position lane bitmask of the current cone, the positions it
-	// marked (for cheap unmarking), and the edge-visit budget past which a
-	// batch falls back to the full kernel.
-	endC       []int
-	prefMax    []int
-	suffMax    []int
-	mask       []uint8
-	visited    []int32
-	coneBudget int
-
-	// Kernel choice (delta.go): the cone-walk back-off for batches that
-	// perturb w lanes is backoff[w]; kernelStats counts the outcomes.
-	backoff [SwapLanes + 1]backoff
-	kernelStats
-
 	// Priced-pair table, the KL-gain-table analogue for this metric: a
 	// swap's exact total depends only on the pair (k, l) and the committed
 	// incumbent, so totals priced since the last commit are reusable
@@ -141,15 +117,6 @@ type SwapSession struct {
 	memoTotal []int
 	memoStamp []uint32
 	memoEpoch uint32
-
-	// Commit adoption: the most recent pricing pass that left a swapped
-	// assignment's complete end times behind — a scalar full pass in
-	// scratch (pricedLanes 1, pair in lane 0) or a full batch pass in endB
-	// (pricedLanes SwapLanes). 0 when the last pass left none or a commit
-	// has made them stale. CommitSwap of a pair listed here copies its ends
-	// instead of walking its cone.
-	pricedK, pricedL [SwapLanes]int
-	pricedLanes      int
 
 	lastK, lastL, lastTotal int
 	pending                 bool
@@ -189,25 +156,17 @@ func (s *SwapSession) bumpEpoch() {
 func (e *Evaluator) NewSwapSession(a *Assignment) *SwapSession {
 	n := len(e.size)
 	s := &SwapSession{
-		e:          e,
-		scratch:    make([]int, n),
-		endB:       make([][SwapLanes]int, n),
-		lanes:      newLaneViews(a),
-		endC:       make([]int, n),
-		prefMax:    make([]int, n),
-		suffMax:    make([]int, n),
-		mask:       make([]uint8, n),
-		visited:    make([]int32, 0, n),
-		coneBudget: defaultConeBudget(len(e.commEdges)),
+		e:       e,
+		scratch: make([]int, n),
+		endB:    make([][SwapLanes]int, n),
+		lanes:   newLaneViews(a),
 	}
 	if k := a.K(); k*k <= maxMemoPairs {
 		s.memoTotal = make([]int, k*k)
 		s.memoStamp = make([]uint32, k*k)
 		s.memoEpoch = 1
 	}
-	s.total = e.fillEnds(s.lanes.a.ProcOf, s.endC)
-	s.rebuildPrefMax(0)
-	s.rebuildSuffMax()
+	s.total = e.fillEnds(s.lanes.a.ProcOf, s.scratch)
 	return s
 }
 
@@ -229,10 +188,8 @@ func (s *SwapSession) Evaluator() *Evaluator { return s.e }
 
 // TrySwap returns the exact total time of the incumbent with clusters k and
 // l exchanged, without committing. Call Commit to accept the trial.
-// TrySwap(k, k) prices the incumbent itself. The swap's cone is priced
-// incrementally against the committed end times; a cone past the budget,
-// or a call the session's back-off skips (delta.go), falls back to one
-// full scalar evaluation.
+// TrySwap(k, k) prices the incumbent itself. A pair not priced since the
+// last commit costs one full scalar evaluation of the swapped incumbent.
 //
 //mapcheck:noalloc
 func (s *SwapSession) TrySwap(k, l int) int {
@@ -243,20 +200,10 @@ func (s *SwapSession) TrySwap(k, l int) int {
 			return total
 		}
 	}
-	var ks, ls, totals [SwapLanes]int
-	ks[0], ls[0] = k, l // lanes 1..7 stay identity (0, 0): free
-	s.lanes.sync(&ks, &ls)
-	var total int
-	if s.tryDeltaBatch(&ks, &ls, &totals) {
-		total = totals[0]
-		s.pricedLanes = 0
-	} else {
-		a := s.lanes.a
-		a.Swap(k, l)
-		total = s.e.fillEnds(a.ProcOf, s.scratch)
-		a.Swap(k, l)
-		s.pricedK[0], s.pricedL[0], s.pricedLanes = k, l, 1
-	}
+	a := s.lanes.a
+	a.Swap(k, l)
+	total := s.e.fillEnds(a.ProcOf, s.scratch)
+	a.Swap(k, l)
 	if s.memoTotal != nil {
 		i := s.memoIdx(k, l)
 		s.memoStamp[i] = s.memoEpoch
@@ -274,7 +221,6 @@ func (s *SwapSession) TrySwap(k, l int) int {
 //mapcheck:noalloc
 func (s *SwapSession) TryAssign(procOf []int) int {
 	s.pending = false
-	s.pricedLanes = 0
 	return s.e.fillEnds(procOf, s.scratch)
 }
 
@@ -292,74 +238,29 @@ func (s *SwapSession) Commit() {
 }
 
 // CommitSwap accepts the swap of clusters k and l whose exact total time
-// the caller already knows from a TrySwap or TrySwapBatch lane. It applies
-// the swap to the incumbent and brings the cached end times (and their
-// prefix and suffix maxima) back in line: when the most recent full
-// pricing pass — a scalar fallback or a full batch pass — priced this very
-// swap and no pass or commit has overwritten its ends since, it adopts
-// them (three linear passes, no edge reads); otherwise it walks the swap's
-// cone once — O(cone), not O(all edges). Allocation-free either way.
+// the caller already knows from a TrySwap or TrySwapBatch lane, in O(1): it
+// applies the swap to the incumbent and, unless k == l, invalidates the
+// priced-pair table.
 //
 //mapcheck:noalloc
 func (s *SwapSession) CommitSwap(k, l, total int) {
 	s.lanes.commitSwap(k, l)
 	if k != l {
-		if !s.adoptPricedEnds(k, l) {
-			s.applyConeToCommitted(k, l)
-			s.coneCommits++
-		}
 		s.bumpEpoch()
 	}
-	s.pricedLanes = 0
 	s.total = total
 	s.pending = false
 }
 
-// adoptPricedEnds copies into the committed cache the end times the most
-// recent full pricing pass computed for the swap (k, l), if it priced that
-// pair, and rebuilds the prefix and suffix maxima. It reports whether it
-// did.
-//
-//mapcheck:noalloc
-func (s *SwapSession) adoptPricedEnds(k, l int) bool {
-	lane := 0
-	for ; lane < s.pricedLanes; lane++ {
-		pk, pl := s.pricedK[lane], s.pricedL[lane]
-		if (pk == k && pl == l) || (pk == l && pl == k) {
-			break
-		}
-	}
-	switch {
-	case lane == s.pricedLanes:
-		return false
-	case s.pricedLanes == 1:
-		copy(s.endC, s.scratch)
-		s.scalarAdoptions++
-	default:
-		for t, eb := range s.endB {
-			s.endC[t] = eb[lane]
-		}
-		s.batchAdoptions++
-	}
-	s.rebuildPrefMax(0)
-	s.rebuildSuffMax()
-	return true
-}
-
 // CommitAssign replaces the committed incumbent with procOf (copied), whose
-// exact total time the caller already knows from TryAssign. An arbitrary
-// replacement shares no cone with the old incumbent, so the cached end
-// times are refreshed with one full evaluation pass. Allocation-free.
+// exact total time the caller already knows from TryAssign. No evaluation
+// pass runs. Allocation-free.
 //
 //mapcheck:noalloc
 func (s *SwapSession) CommitAssign(procOf []int, total int) {
 	s.lanes.commitAssign(procOf)
 	s.total = total
 	s.pending = false
-	s.pricedLanes = 0
-	s.e.fillEnds(s.lanes.a.ProcOf, s.endC)
-	s.rebuildPrefMax(0)
-	s.rebuildSuffMax()
 	s.bumpEpoch()
 }
 
@@ -368,12 +269,8 @@ func (s *SwapSession) CommitAssign(procOf []int, total int) {
 // receives its exact total time. Lanes are independent — duplicates are
 // fine, and ks[i] == ls[i] prices the unperturbed incumbent — and nothing
 // is committed. A batch whose every pair is already priced against the
-// current incumbent replays from the priced-pair table; otherwise it is
-// priced incrementally (one shared scan re-evaluating only each lane's
-// cone against the committed end times), falling back to the full
-// interleaved evaluation pass when the union of cones outgrows the
-// session's budget or the session is backing off from cone walks of
-// this width. Every path yields exact totals.
+// current incumbent replays from the priced-pair table; otherwise one
+// interleaved evaluation pass prices all lanes.
 //
 //mapcheck:noalloc
 func (s *SwapSession) TrySwapBatch(ks, ls *[SwapLanes]int, totals *[SwapLanes]int) {
@@ -392,12 +289,7 @@ func (s *SwapSession) TrySwapBatch(ks, ls *[SwapLanes]int, totals *[SwapLanes]in
 		}
 	}
 	s.lanes.sync(ks, ls)
-	if s.tryDeltaBatch(ks, ls, totals) {
-		s.pricedLanes = 0
-	} else {
-		s.fullSwapBatch(totals)
-		s.pricedK, s.pricedL, s.pricedLanes = *ks, *ls, SwapLanes
-	}
+	s.fullSwapBatch(totals)
 	if s.memoTotal != nil {
 		for lane := 0; lane < SwapLanes; lane++ {
 			i := s.memoIdx(ks[lane], ls[lane])
@@ -407,8 +299,7 @@ func (s *SwapSession) TrySwapBatch(ks, ls *[SwapLanes]int, totals *[SwapLanes]in
 	}
 }
 
-// fullSwapBatch is the non-incremental batch kernel: one interleaved
-// topological pass pricing all SwapLanes lanes, each edge record loaded
+// fullSwapBatch is the batch kernel: one interleaved topological pass pricing all SwapLanes lanes, each edge record loaded
 // once for all eight. The lane views must be synced first.
 //
 //mapcheck:noalloc

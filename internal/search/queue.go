@@ -140,7 +140,7 @@ func (q *trialQueue) compact() {
 }
 
 // commit accepts the trial (k, l) just handed out, whose exact total the
-// queue priced: the session adopts it, the queued totals go stale, and the
+// queue priced: the session commits it, the queued totals go stale, and the
 // queue refills before the next trial. The first trial after this commit
 // is priced alone iff the accepted trial was itself the first after the
 // previous commit.
