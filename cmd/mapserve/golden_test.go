@@ -17,8 +17,7 @@ var update = flag.Bool("update", false, "rewrite testdata/*.golden from the curr
 
 // goldenInstance is the problem the golden bodies solve: 96 random tasks,
 // dealt to the 16 processors of mesh-4x4 by the random clusterer, so swaps
-// touch tasks throughout the schedule and the pair memo cannot answer most
-// trials.
+// touch tasks throughout the schedule.
 func goldenInstance(t *testing.T) *mimdmap.Problem {
 	t.Helper()
 	prob, err := mimdmap.RandomProblem(mimdmap.RandomProblemConfig{

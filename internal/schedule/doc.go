@@ -37,9 +37,8 @@
 //
 // Refinement goes one step further: its trials are single swaps of a
 // shared incumbent, so a SwapSession (swap.go) prices SwapLanes of them in
-// one interleaved pass, exactly and allocation-free, and replays pairs
-// already priced against the same incumbent from a table; any other trial
-// costs one full pass, as in the paper. It also offers whole-assignment
+// one interleaved pass, exactly and allocation-free; any other trial costs
+// one full pass, as in the paper. It also offers whole-assignment
 // pricing (TryAssign/CommitAssign) for permutation moves, annealing
 // restarts and jump perturbations. Every search strategy in internal/search
 // runs on a SwapSession, and CardSession is its cardinality twin for the

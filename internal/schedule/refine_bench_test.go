@@ -28,38 +28,11 @@ func benchInstance(tb testing.TB, sys *graph.System, seed int64) (*Evaluator, *A
 	return e, FromPerm(rand.New(rand.NewSource(seed)).Perm(ns))
 }
 
-// benchRefineTrials measures refinement trials/sec: candidate swaps of a
-// fixed incumbent drawn ahead and priced SwapLanes at a time, exactly as
-// core.refine does. b.N counts trials, not batches.
-func benchRefineTrials(b *testing.B, sys *graph.System, seed int64) {
-	e, a := benchInstance(b, sys, seed)
-	k := a.K()
-	rng := rand.New(rand.NewSource(seed + 1))
-	sess := e.NewSwapSession(a)
-	var ks, ls, totals [SwapLanes]int
-	b.ReportAllocs()
-	b.ResetTimer()
-	for t := 0; t < b.N; t += SwapLanes {
-		for l := 0; l < SwapLanes; l++ {
-			ks[l], ls[l] = RandSwapPair(rng, k)
-		}
-		sess.TrySwapBatch(&ks, &ls, &totals)
-		refineBenchSink += totals[0] + totals[SwapLanes-1]
-	}
-}
-
 var refineBenchSink int
 
-func BenchmarkRefineTrialHypercube16(b *testing.B) { benchRefineTrials(b, topology.Hypercube(4), 1991) }
-func BenchmarkRefineTrialHypercube32(b *testing.B) { benchRefineTrials(b, topology.Hypercube(5), 1991) }
-func BenchmarkRefineTrialMesh4x4(b *testing.B)     { benchRefineTrials(b, topology.Mesh(4, 4), 1991) }
-func BenchmarkRefineTrialMesh5x8(b *testing.B)     { benchRefineTrials(b, topology.Mesh(5, 8), 1991) }
-func BenchmarkRefineTrialRandom24(b *testing.B)    { benchRefineTrials(b, random24(), 1991) }
-
-// BenchmarkSwapKernel measures what a trial costs when the priced-pair
-// memo misses: the session's table is switched off, so every batch of
-// random pairs of a fixed incumbent reaches an evaluation pass. b.N counts
-// trials. The shapes are the five refine machines, the large-cold shape
+// BenchmarkSwapKernel measures what a priced trial costs: batches of
+// random pairs of a fixed incumbent, each batch one evaluation pass, as the
+// refinement loop prices them. b.N counts trials. The shapes are the five refine machines, the large-cold shape
 // (np=2000 random DAG on mesh-8x16 under random clustering) and a narrow
 // one: 256 independent 4-task pipelines on mesh-8x16, whose swaps each
 // touch only a few chains.
@@ -86,13 +59,11 @@ func BenchmarkSwapKernel(b *testing.B) {
 	})
 }
 
-// benchKernel prices batches of random swaps of a with the session's
-// priced-pair memo switched off.
+// benchKernel prices batches of random swaps of a.
 func benchKernel(b *testing.B, e *Evaluator, a *Assignment) {
 	k := a.K()
 	rng := rand.New(rand.NewSource(7))
 	sess := e.NewSwapSession(a)
-	sess.memoTotal = nil
 	var ks, ls, totals [SwapLanes]int
 	b.ReportAllocs()
 	b.ResetTimer()

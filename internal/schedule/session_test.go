@@ -23,21 +23,17 @@ func sessionTestSystems(seed int64) []*graph.System {
 
 // TestSwapSessionExactOverRandomSequences is the session's exactness
 // oracle: over random sequences of TrySwap, TrySwapBatch (with duplicate
-// and identity lanes), TryAssign, memo replays and every kind of commit,
+// and identity lanes), TryAssign, repeated pairs and every kind of commit,
 // each total a session returns must equal Evaluator.TotalTime of the
 // assignment it prices, and the committed incumbent and total must mirror
-// an independently maintained copy. One session runs with the priced-pair
-// memo and one without, so both the replay and the pricing passes are
-// checked on every step.
+// an independently maintained copy.
 func TestSwapSessionExactOverRandomSequences(t *testing.T) {
 	for _, sys := range sessionTestSystems(17) {
 		for _, seed := range []int64{3, 1991} {
 			e, a := benchInstance(t, sys, seed)
 			k := a.K()
 			rng := rand.New(rand.NewSource(seed + 7))
-			memo := e.NewSwapSession(a)
-			bare := e.NewSwapSession(a)
-			bare.memoTotal = nil
+			s := e.NewSwapSession(a)
 			oracle := a.Clone()
 			price := func(i, j int) int {
 				oracle.Swap(i, j)
@@ -50,13 +46,11 @@ func TestSwapSessionExactOverRandomSequences(t *testing.T) {
 			lastK, lastL := 0, 0 // the most recently priced pair
 			for step := 0; step < 600; step++ {
 				label := fmt.Sprintf("%s seed %d step %d", sys.Name, seed, step)
-				for _, s := range []*SwapSession{memo, bare} {
-					if !slices.Equal(s.ProcOf(), oracle.ProcOf) {
-						t.Fatalf("%s: session incumbent %v, want %v", label, s.ProcOf(), oracle.ProcOf)
-					}
-					if want := e.TotalTime(oracle); s.TotalTime() != want {
-						t.Fatalf("%s: committed total %d, evaluator says %d", label, s.TotalTime(), want)
-					}
+				if !slices.Equal(s.ProcOf(), oracle.ProcOf) {
+					t.Fatalf("%s: session incumbent %v, want %v", label, s.ProcOf(), oracle.ProcOf)
+				}
+				if want := e.TotalTime(oracle); s.TotalTime() != want {
+					t.Fatalf("%s: committed total %d, evaluator says %d", label, s.TotalTime(), want)
 				}
 				commit := rng.Intn(3) == 0
 				switch op := rng.Intn(4); op {
@@ -67,21 +61,17 @@ func TestSwapSessionExactOverRandomSequences(t *testing.T) {
 					ks[2], ls[2] = ks[1], ls[1]       // duplicate lane
 					ks[SwapLanes-1] = ls[SwapLanes-1] // identity lane
 					lane := rng.Intn(SwapLanes)
-					for _, s := range []*SwapSession{memo, bare} {
-						s.TrySwapBatch(&ks, &ls, &totals)
-						for l := range totals {
-							if want := price(ks[l], ls[l]); totals[l] != want {
-								t.Fatalf("%s: batch lane %d (%d,%d) total %d, evaluator says %d", label, l, ks[l], ls[l], totals[l], want)
-							}
-						}
-						if commit {
-							s.CommitSwap(ls[lane], ks[lane], totals[lane]) // either pair order
+					s.TrySwapBatch(&ks, &ls, &totals)
+					for l := range totals {
+						if want := price(ks[l], ls[l]); totals[l] != want {
+							t.Fatalf("%s: batch lane %d (%d,%d) total %d, evaluator says %d", label, l, ks[l], ls[l], totals[l], want)
 						}
 					}
-					lastK, lastL = ks[0], ls[0]
 					if commit {
+						s.CommitSwap(ls[lane], ks[lane], totals[lane]) // either pair order
 						oracle.Swap(ks[lane], ls[lane])
 					}
+					lastK, lastL = ks[0], ls[0]
 				case 1: // a single trial (sometimes the identity), then maybe Commit
 					lastK, lastL = RandSwapPair(rng, k)
 					if step%5 == 0 {
@@ -90,29 +80,21 @@ func TestSwapSessionExactOverRandomSequences(t *testing.T) {
 					fallthrough
 				case 2: // replay the last priced pair, then maybe Commit
 					want := price(lastK, lastL)
-					for _, s := range []*SwapSession{memo, bare} {
-						if got := s.TrySwap(lastK, lastL); got != want {
-							t.Fatalf("%s: TrySwap(%d,%d) = %d, evaluator says %d", label, lastK, lastL, got, want)
-						}
-						if commit {
-							s.Commit()
-						}
+					if got := s.TrySwap(lastK, lastL); got != want {
+						t.Fatalf("%s: TrySwap(%d,%d) = %d, evaluator says %d", label, lastK, lastL, got, want)
 					}
 					if commit {
+						s.Commit()
 						oracle.Swap(lastK, lastL)
 					}
 				case 3: // a whole-assignment trial, then maybe CommitAssign
 					RandPermInto(rng, perm)
 					want := e.TotalTime(FromPerm(perm))
-					for _, s := range []*SwapSession{memo, bare} {
-						if got := s.TryAssign(perm); got != want {
-							t.Fatalf("%s: TryAssign = %d, evaluator says %d", label, got, want)
-						}
-						if commit {
-							s.CommitAssign(perm, want)
-						}
+					if got := s.TryAssign(perm); got != want {
+						t.Fatalf("%s: TryAssign = %d, evaluator says %d", label, got, want)
 					}
 					if commit {
+						s.CommitAssign(perm, want)
 						copy(oracle.ProcOf, perm)
 					}
 				}
@@ -185,68 +167,6 @@ func TestLaneViewsSyncDegenerateLanes(t *testing.T) {
 				j = i // degenerate commit: swap of a cluster with itself
 			}
 			sess.lanes.commitSwap(i, j)
-		}
-	}
-}
-
-// TestPricedPairMemoExactAcrossCommits pins the priced-pair table: a
-// re-priced pair must return the stored exact total without re-evaluating,
-// and any commit that changes the incumbent must invalidate the table so
-// stale totals never leak across incumbents.
-func TestPricedPairMemoExactAcrossCommits(t *testing.T) {
-	e, a := benchInstance(t, topology.Mesh(4, 4), 41)
-	k := a.K()
-	sess := e.NewSwapSession(a)
-	if sess.memoTotal == nil {
-		t.Fatalf("memo disabled for K=%d, expected enabled below the bound", k)
-	}
-	oracle := a.Clone()
-	price := func(i, j int) int {
-		oracle.Swap(i, j)
-		defer oracle.Swap(i, j)
-		return e.TotalTime(oracle)
-	}
-
-	first := sess.TrySwap(1, 5)
-	if want := price(1, 5); first != want {
-		t.Fatalf("cold TrySwap(1,5) = %d, evaluator says %d", first, want)
-	}
-	// The memo hit must return the identical total, for both argument
-	// orders (the table is keyed on the unordered pair).
-	if again := sess.TrySwap(1, 5); again != first {
-		t.Fatalf("memoised TrySwap(1,5) = %d, first priced %d", again, first)
-	}
-	if rev := sess.TrySwap(5, 1); rev != first {
-		t.Fatalf("memoised TrySwap(5,1) = %d, first priced %d", rev, first)
-	}
-
-	// Committing an unrelated swap changes the schedule globally; the old
-	// entry must not survive.
-	accepted := sess.TrySwap(2, 9)
-	sess.CommitSwap(2, 9, accepted)
-	oracle.Swap(2, 9)
-	if got, want := sess.TrySwap(1, 5), price(1, 5); got != want {
-		t.Fatalf("post-commit TrySwap(1,5) = %d, evaluator says %d (stale memo?)", got, want)
-	}
-
-	// An identity commit leaves the incumbent untouched: memoised totals
-	// stay valid (and correct).
-	sess.CommitSwap(3, 3, sess.TotalTime())
-	if got, want := sess.TrySwap(1, 5), price(1, 5); got != want {
-		t.Fatalf("after identity commit TrySwap(1,5) = %d, evaluator says %d", got, want)
-	}
-
-	// A batch re-pricing only known pairs is served from the table and
-	// must agree with the evaluator lane by lane.
-	var ks, ls, totals [SwapLanes]int
-	for lane := 0; lane < SwapLanes; lane++ {
-		ks[lane], ls[lane] = 1, 5
-	}
-	ks[1], ls[1] = 5, 1
-	sess.TrySwapBatch(&ks, &ls, &totals)
-	for lane, got := range totals {
-		if want := price(1, 5); got != want {
-			t.Fatalf("memoised batch lane %d = %d, evaluator says %d", lane, got, want)
 		}
 	}
 }

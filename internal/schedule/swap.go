@@ -81,11 +81,9 @@ func (v *laneViews) commitAssign(procOf []int) {
 // full Evaluator.TotalTime of each swapped assignment — so accept/reject
 // decisions stay bit-identical to trial-at-a-time refinement.
 //
-// Both TrySwap and TrySwapBatch first consult the session's priced-pair
-// table: a swap's exact total depends only on the pair and the committed
-// incumbent, so totals priced since the last commit replay for free. A
-// miss costs one full pass — scalar for TrySwap, the interleaved kernel
-// for TrySwapBatch.
+// Every trial costs one full pass — scalar for TrySwap, the interleaved
+// kernel for TrySwapBatch — so each Try call prices against the committed
+// incumbent as it stands.
 //
 // Protocol: TrySwap/TrySwapBatch/TryAssign never change the committed
 // state; Commit promotes the most recent TrySwap, CommitSwap accepts a swap
@@ -106,48 +104,8 @@ type SwapSession struct {
 	lanes laneViews        // lane-major views of the batch kernel
 	endB  [][SwapLanes]int // lane-interleaved end times of the batch pass
 
-	// Priced-pair table, the KL-gain-table analogue for this metric: a
-	// swap's exact total depends only on the pair (k, l) and the committed
-	// incumbent, so totals priced since the last commit are reusable
-	// verbatim. Sweep-style refiners re-price the same pairs many times
-	// between rare accepts; those trials become one table load. memoStamp
-	// entries equal to memoEpoch are valid; commits that change the
-	// incumbent bump the epoch, invalidating the whole table in O(1).
-	// nil (K past maxMemoPairs) disables memoisation.
-	memoTotal []int
-	memoStamp []uint32
-	memoEpoch uint32
-
 	lastK, lastL, lastTotal int
 	pending                 bool
-}
-
-// maxMemoPairs bounds the priced-pair table: K² at most 2^16 pairs (K ≤
-// 256, ~¾ MB per session). Larger instances skip the table rather than
-// pay its memory; the paper-scale workloads sit far below the bound.
-const maxMemoPairs = 1 << 16
-
-// memoIdx maps the unordered pair (k, l) to its table slot.
-func (s *SwapSession) memoIdx(k, l int) int {
-	if k > l {
-		k, l = l, k
-	}
-	return k*s.lanes.a.K() + l
-}
-
-// bumpEpoch invalidates every memoised pair total in O(1). The rare
-// uint32 wraparound clears the stamps so ancient entries cannot alias.
-func (s *SwapSession) bumpEpoch() {
-	if s.memoTotal == nil {
-		return
-	}
-	s.memoEpoch++
-	if s.memoEpoch == 0 {
-		for i := range s.memoStamp {
-			s.memoStamp[i] = 0
-		}
-		s.memoEpoch = 1
-	}
 }
 
 // NewSwapSession evaluates a fully and returns a session committed to it.
@@ -160,11 +118,6 @@ func (e *Evaluator) NewSwapSession(a *Assignment) *SwapSession {
 		scratch: make([]int, n),
 		endB:    make([][SwapLanes]int, n),
 		lanes:   newLaneViews(a),
-	}
-	if k := a.K(); k*k <= maxMemoPairs {
-		s.memoTotal = make([]int, k*k)
-		s.memoStamp = make([]uint32, k*k)
-		s.memoEpoch = 1
 	}
 	s.total = e.fillEnds(s.lanes.a.ProcOf, s.scratch)
 	return s
@@ -188,27 +141,15 @@ func (s *SwapSession) Evaluator() *Evaluator { return s.e }
 
 // TrySwap returns the exact total time of the incumbent with clusters k and
 // l exchanged, without committing. Call Commit to accept the trial.
-// TrySwap(k, k) prices the incumbent itself. A pair not priced since the
-// last commit costs one full scalar evaluation of the swapped incumbent.
+// TrySwap(k, k) prices the incumbent itself. Each call costs one full
+// scalar evaluation of the swapped incumbent.
 //
 //mapcheck:noalloc
 func (s *SwapSession) TrySwap(k, l int) int {
-	if s.memoTotal != nil {
-		if i := s.memoIdx(k, l); s.memoStamp[i] == s.memoEpoch {
-			total := s.memoTotal[i]
-			s.lastK, s.lastL, s.lastTotal, s.pending = k, l, total, true
-			return total
-		}
-	}
 	a := s.lanes.a
 	a.Swap(k, l)
 	total := s.e.fillEnds(a.ProcOf, s.scratch)
 	a.Swap(k, l)
-	if s.memoTotal != nil {
-		i := s.memoIdx(k, l)
-		s.memoStamp[i] = s.memoEpoch
-		s.memoTotal[i] = total
-	}
 	s.lastK, s.lastL, s.lastTotal, s.pending = k, l, total, true
 	return total
 }
@@ -239,15 +180,11 @@ func (s *SwapSession) Commit() {
 
 // CommitSwap accepts the swap of clusters k and l whose exact total time
 // the caller already knows from a TrySwap or TrySwapBatch lane, in O(1): it
-// applies the swap to the incumbent and, unless k == l, invalidates the
-// priced-pair table.
+// applies the swap to the incumbent.
 //
 //mapcheck:noalloc
 func (s *SwapSession) CommitSwap(k, l, total int) {
 	s.lanes.commitSwap(k, l)
-	if k != l {
-		s.bumpEpoch()
-	}
 	s.total = total
 	s.pending = false
 }
@@ -261,42 +198,18 @@ func (s *SwapSession) CommitAssign(procOf []int, total int) {
 	s.lanes.commitAssign(procOf)
 	s.total = total
 	s.pending = false
-	s.bumpEpoch()
 }
 
 // TrySwapBatch prices SwapLanes candidate swaps of the incumbent: lane i
 // is the incumbent with clusters ks[i] and ls[i] exchanged, and totals[i]
 // receives its exact total time. Lanes are independent — duplicates are
 // fine, and ks[i] == ls[i] prices the unperturbed incumbent — and nothing
-// is committed. A batch whose every pair is already priced against the
-// current incumbent replays from the priced-pair table; otherwise one
-// interleaved evaluation pass prices all lanes.
+// is committed. One interleaved evaluation pass prices all lanes.
 //
 //mapcheck:noalloc
 func (s *SwapSession) TrySwapBatch(ks, ls *[SwapLanes]int, totals *[SwapLanes]int) {
-	if s.memoTotal != nil {
-		hit := true
-		for lane := 0; lane < SwapLanes; lane++ {
-			i := s.memoIdx(ks[lane], ls[lane])
-			if s.memoStamp[i] != s.memoEpoch {
-				hit = false
-				break
-			}
-			totals[lane] = s.memoTotal[i]
-		}
-		if hit {
-			return
-		}
-	}
 	s.lanes.sync(ks, ls)
 	s.fullSwapBatch(totals)
-	if s.memoTotal != nil {
-		for lane := 0; lane < SwapLanes; lane++ {
-			i := s.memoIdx(ks[lane], ls[lane])
-			s.memoStamp[i] = s.memoEpoch
-			s.memoTotal[i] = totals[lane]
-		}
-	}
 }
 
 // fullSwapBatch is the batch kernel: one interleaved topological pass pricing all SwapLanes lanes, each edge record loaded

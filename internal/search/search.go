@@ -3,13 +3,12 @@
 // random-change refinement, pairwise exchange (§2.2/ref [1]), simulated
 // annealing (refs [3], [14]) — is a Refiner improving a committed
 // schedule.SwapSession under a trial Budget. All strategies price trials
-// through the session — one full evaluation pass per unpriced trial or
-// batch of schedule.SwapLanes trials, with already-priced pairs replayed
-// from the session's pair table, transparently to refiners — so they
-// share one zero-allocation hot path and compete at an equal trial budget.
-// Budget accounting stays trial-based: a memoised trial counts exactly
-// like a freshly priced one, so budgets and results are independent of
-// how a trial happened to be priced. The named registry
+// through the session — one full evaluation pass per trial or batch of
+// schedule.SwapLanes trials — so they share one zero-allocation hot path
+// and compete at an equal trial budget. Budget accounting stays
+// trial-based: a trial counts the same however it was resolved, so budgets
+// and results are independent of how a trial happened to be priced. The
+// named registry
 // (RefinerByName) is the single source of truth for which strategies
 // exist, mirroring the clusterer registry.
 //
