@@ -81,17 +81,19 @@ func (v *laneViews) commitAssign(procOf []int) {
 // full Evaluator.TotalTime of each swapped assignment — so accept/reject
 // decisions stay bit-identical to trial-at-a-time refinement.
 //
-// Every trial costs one full pass — scalar for TrySwap, the interleaved
-// kernel for TrySwapBatch — so each Try call prices against the committed
-// incumbent as it stands.
+// Every priced trial costs one full pass — scalar for TrySwap, the
+// interleaved kernel for TrySwapBatch. A refiner that keeps a trial only if
+// it strictly lowers the total can skip pricing altogether when Certified
+// says the swap cannot lower it: the critical-chain certificate below.
 //
 // Protocol: TrySwap/TrySwapBatch/TryAssign never change the committed
 // state; Commit promotes the most recent TrySwap, CommitSwap accepts a swap
 // whose exact total the caller already knows (e.g. a TrySwapBatch lane),
 // and CommitAssign replaces the incumbent wholesale (full-reshuffle moves,
-// annealing restarts, Bokhari jumps). The session caches no end times, so
-// every commit is O(1) apart from CommitAssign's copy of the assignment. A
-// session allocates only at construction; every Try/Commit method is
+// annealing restarts, Bokhari jumps). Every commit is O(1) apart from
+// CommitAssign's copy of the assignment; the certificate is rebuilt lazily,
+// at the first Certified query after a commit. A session allocates only at
+// construction; every Try/Commit method is
 // allocation-free. Sessions share the Evaluator's read-only precomputation,
 // so concurrent refinement chains may each run their own session against
 // one Evaluator without locks.
@@ -106,7 +108,27 @@ type SwapSession struct {
 
 	lastK, lastL, lastTotal int
 	pending                 bool
+
+	// The critical-chain certificate: onChain[c] reports that cluster c
+	// owns a task on one traced critical chain of the incumbent, valid
+	// while chainOK. scalarSwap reports that scratch holds the end times
+	// of the incumbent with (lastK, lastL) swapped; lanesSwap that endB
+	// holds those of every lane of the last TrySwapBatch. Committing one
+	// of those swaps leaves the new incumbent's end times in that buffer:
+	// adopt names it (adoptScratch, a lane, or adoptNone) until the next
+	// pricing call overwrites it.
+	onChain               []bool
+	chainOK               bool
+	scalarSwap, lanesSwap bool
+	adopt                 int
 }
+
+// Sources of the incumbent's end times for the certificate rebuild, besides
+// a batch lane index.
+const (
+	adoptNone    = -1
+	adoptScratch = -2
+)
 
 // NewSwapSession evaluates a fully and returns a session committed to it.
 // The assignment is copied; the caller's copy stays untouched. Construction
@@ -118,8 +140,11 @@ func (e *Evaluator) NewSwapSession(a *Assignment) *SwapSession {
 		scratch: make([]int, n),
 		endB:    make([][SwapLanes]int, n),
 		lanes:   newLaneViews(a),
+		onChain: make([]bool, a.K()),
+		adopt:   adoptNone,
 	}
 	s.total = e.fillEnds(s.lanes.a.ProcOf, s.scratch)
+	s.adopt = adoptScratch
 	return s
 }
 
@@ -151,6 +176,10 @@ func (s *SwapSession) TrySwap(k, l int) int {
 	total := s.e.fillEnds(a.ProcOf, s.scratch)
 	a.Swap(k, l)
 	s.lastK, s.lastL, s.lastTotal, s.pending = k, l, total, true
+	s.scalarSwap = true
+	if s.adopt == adoptScratch {
+		s.adopt = adoptNone
+	}
 	return total
 }
 
@@ -161,7 +190,10 @@ func (s *SwapSession) TrySwap(k, l int) int {
 //
 //mapcheck:noalloc
 func (s *SwapSession) TryAssign(procOf []int) int {
-	s.pending = false
+	s.pending, s.scalarSwap = false, false
+	if s.adopt == adoptScratch {
+		s.adopt = adoptNone
+	}
 	return s.e.fillEnds(procOf, s.scratch)
 }
 
@@ -180,13 +212,36 @@ func (s *SwapSession) Commit() {
 
 // CommitSwap accepts the swap of clusters k and l whose exact total time
 // the caller already knows from a TrySwap or TrySwapBatch lane, in O(1): it
-// applies the swap to the incumbent.
+// applies the swap to the incumbent and, unless k == l, invalidates the
+// certificate. When the most recent pricing call priced this swap, its end
+// times become the new incumbent's, so the next Certified query rebuilds
+// the certificate without an evaluation pass.
 //
 //mapcheck:noalloc
 func (s *SwapSession) CommitSwap(k, l, total int) {
 	s.lanes.commitSwap(k, l)
 	s.total = total
 	s.pending = false
+	if k == l {
+		return
+	}
+	s.chainOK, s.adopt = false, adoptNone
+	if s.scalarSwap && samePair(s.lastK, s.lastL, k, l) {
+		s.adopt = adoptScratch
+	} else if s.lanesSwap {
+		for lane := 0; lane < SwapLanes; lane++ {
+			if samePair(s.lanes.laneK[lane], s.lanes.laneL[lane], k, l) {
+				s.adopt = lane
+				break
+			}
+		}
+	}
+	s.scalarSwap, s.lanesSwap = false, false
+}
+
+// samePair reports whether the unordered pairs {a, b} and {c, d} are equal.
+func samePair(a, b, c, d int) bool {
+	return (a == c && b == d) || (a == d && b == c)
 }
 
 // CommitAssign replaces the committed incumbent with procOf (copied), whose
@@ -198,6 +253,8 @@ func (s *SwapSession) CommitAssign(procOf []int, total int) {
 	s.lanes.commitAssign(procOf)
 	s.total = total
 	s.pending = false
+	s.chainOK, s.adopt = false, adoptNone
+	s.scalarSwap, s.lanesSwap = false, false
 }
 
 // TrySwapBatch prices SwapLanes candidate swaps of the incumbent: lane i
@@ -210,6 +267,10 @@ func (s *SwapSession) CommitAssign(procOf []int, total int) {
 func (s *SwapSession) TrySwapBatch(ks, ls *[SwapLanes]int, totals *[SwapLanes]int) {
 	s.lanes.sync(ks, ls)
 	s.fullSwapBatch(totals)
+	s.lanesSwap = true
+	if s.adopt >= 0 {
+		s.adopt = adoptNone
+	}
 }
 
 // fullSwapBatch is the batch kernel: one interleaved topological pass pricing all SwapLanes lanes, each edge record loaded
@@ -273,6 +334,81 @@ func (s *SwapSession) fullSwapBatch(totals *[SwapLanes]int) {
 		}
 	}
 	*totals = totalB
+}
+
+// Certified reports that swapping clusters k and l provably cannot lower
+// the committed total: neither cluster owns a task on a traced critical
+// chain of the incumbent. The chain is a path of tight predecessor steps
+// t0 → t1 → … → tm, where t0 starts at time 0, each t(i+1) starts exactly
+// when t(i)'s message arrives (end[t(i)] + w·dist), and tm ends at the
+// total. A swap of k and l moves only the tasks of clusters k and l, so
+// every size, weight and distance along the chain is unchanged; by
+// induction each chain task of the swapped assignment ends no earlier than
+// before, and the swapped total is at least end[tm], the incumbent total.
+//
+// A certified trial therefore has no exact total, only the bound "not
+// below the incumbent". A refiner may resolve it without pricing only when
+// its acceptance test is strict improvement and an equal total would not
+// end the run (the total is above its lower bound, or termination is off);
+// trials whose totals are recorded, or weighed like annealing's, must be
+// priced. The certificate holds for this evaluator's dataflow model only.
+//
+// The first query after a commit traces the chain: from the end times the
+// accepted trial's own pricing left behind when no pricing call has run
+// since, else from one scalar evaluation pass. Allocation-free.
+//
+//mapcheck:noalloc
+func (s *SwapSession) Certified(k, l int) bool {
+	if !s.chainOK {
+		s.traceChain()
+	}
+	return !s.onChain[k] && !s.onChain[l]
+}
+
+// traceChain rebuilds onChain from the incumbent's end times: it marks the
+// cluster of a task ending at the total, then steps back through tight
+// predecessors until it reaches a task that starts at time 0. End times
+// that do not explain the committed total (a CommitSwap with an inexact
+// total) mark every cluster, so nothing is certified.
+//
+//mapcheck:noalloc
+func (s *SwapSession) traceChain() {
+	e, end, onChain := s.e, s.scratch, s.onChain
+	switch {
+	case s.adopt >= 0:
+		for t := range end {
+			end[t] = s.endB[t][s.adopt]
+		}
+	case s.adopt == adoptNone:
+		e.fillEnds(s.lanes.a.ProcOf, end)
+	}
+	s.scalarSwap, s.adopt, s.chainOK = false, adoptScratch, true
+	for c := range onChain {
+		onChain[c] = false
+	}
+	t := len(end) - 1
+	for t >= 0 && end[t] != s.total {
+		t--
+	}
+	procOf, distT, ns := s.lanes.a.ProcOf, e.distT, e.ns
+	for t >= 0 {
+		onChain[e.clusOf[t]] = true
+		start := end[t] - int(e.size[t])
+		if start == 0 {
+			return
+		}
+		base, next := procOf[e.clusOf[t]]*ns, -1
+		for _, ce := range e.commEdges[e.commOff[t]:e.commOff[t+1]] {
+			if end[ce.pred]+int(ce.w)*distT[base+procOf[ce.clus]] == start {
+				next = int(ce.pred)
+				break
+			}
+		}
+		t = next
+	}
+	for c := range onChain {
+		onChain[c] = true
+	}
 }
 
 // CardSession is the cardinality twin of SwapSession: it prices single-swap
