@@ -134,9 +134,9 @@ func (an *Anneal) refine(ctx context.Context, sess *schedule.SwapSession, b Budg
 	// The queue's draw count starts at the calibration probes already
 	// charged, so drawing stops exactly at b.Trials even when the
 	// remaining budget is not a whole batch.
-	*q = newTrialQueue(sess, free, rng, b.Trials, tr.Trials)
+	*q = newTrialQueue(sess, free, rng, b.Trials, tr.Trials, false)
 	for tr.Trials < b.Trials && temp > minTemp {
-		k, l, total, ok := q.next(ctx)
+		k, l, total, _, ok := q.next(ctx)
 		if !ok {
 			break
 		}

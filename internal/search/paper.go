@@ -12,16 +12,18 @@ import (
 // iff it does not worsen the total time (strictly improves — "keep if
 // better"), and stop early when a trial reaches the lower bound.
 //
-// Trials come from the shared draw-ahead queue (trialQueue): candidate
-// swaps are drawn schedule.SwapLanes at a time and priced lazily, almost
-// always as one interleaved batch because almost every trial is a rejected
-// perturbation of the same incumbent. Trials still resolve strictly in
-// draw order against the incumbent they would have seen sequentially —
-// after an accept, the unresolved candidates are re-priced against the new
-// incumbent — so results are bit-identical to trial-at-a-time refinement,
-// including the random stream (drawing consumes rng in draw order; pricing
-// consumes none). This is the exact loop core.Mapper ran before the
-// strategy seam existed, pinned by the mapper's determinism tests.
+// Trials come from the shared draw-ahead queue (trialQueue) in certify
+// mode: a candidate swap that the session's critical-chain certificate
+// proves cannot lower the total is rejected without pricing, and the rest
+// are priced lazily, almost always as one interleaved batch because almost
+// every trial is a rejected perturbation of the same incumbent. Trials
+// still resolve strictly in draw order against the incumbent they would
+// have seen sequentially — after an accept, the unresolved candidates are
+// certified or priced again against the new incumbent — so results are
+// bit-identical to trial-at-a-time refinement, including the random stream
+// (drawing consumes rng in draw order; certifying and pricing consume
+// none). This is the exact loop core.Mapper ran before the strategy seam
+// existed, pinned by the mapper's determinism tests.
 type Paper struct{}
 
 // Name implements Refiner.
@@ -46,13 +48,16 @@ func (Paper) refine(ctx context.Context, sess *schedule.SwapSession, b Budget, r
 	if len(free) < 2 || b.Trials <= 0 {
 		return tr
 	}
-	*q = newTrialQueue(sess, free, rng, b.Trials, 0)
+	*q = newTrialQueue(sess, free, rng, b.Trials, 0, certifies(b, tr.Final))
 	for tr.Trials < b.Trials {
-		k, l, total, ok := q.next(ctx)
+		k, l, total, cert, ok := q.next(ctx)
 		if !ok {
 			break
 		}
 		tr.Trials++
+		if cert {
+			continue // cannot improve: rejected unpriced
+		}
 		if b.RecordTrials {
 			tr.Totals = append(tr.Totals, total)
 		}
@@ -67,6 +72,7 @@ func (Paper) refine(ctx context.Context, sess *schedule.SwapSession, b Budget, r
 			tr.Improved++
 			tr.Final = total
 			q.commit(k, l, total)
+			q.certify = certifies(b, tr.Final)
 		}
 	}
 	return tr

@@ -2,6 +2,7 @@ package search
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -361,9 +362,113 @@ func TestQueuePricesOnlyLanesItResolves(t *testing.T) {
 	}
 
 	tr = Paper{}.refine(context.Background(), ev.NewSwapSession(start), b, rand.New(rand.NewSource(1)), &q)
-	share := float64(q.stats.fromFull) / float64(q.stats.resolved)
-	t.Logf("paper: %d resolved, %d improved, %d batches, %d solo, %.1f%% from full batches", q.stats.resolved, tr.Improved, q.stats.batches, q.stats.solos, 100*share)
-	if share < 0.9 {
-		t.Errorf("low-acceptance paper refinement resolved %.1f%% of its trials from 8-lane batches, want ≥ 90%%", 100*share)
+	priced := q.stats.resolved - q.stats.certified
+	share := float64(q.stats.fromFull) / float64(priced)
+	t.Logf("paper: %d resolved, %d certified, %d improved, %d batches, %d solo, %.1f%% of priced trials from full batches",
+		q.stats.resolved, q.stats.certified, tr.Improved, q.stats.batches, q.stats.solos, 100*share)
+	if q.stats.certified == 0 {
+		t.Error("paper refinement resolved no trial by the certificate")
 	}
+	if share < 0.9 {
+		t.Errorf("low-acceptance paper refinement priced %.1f%% of its priced trials in 8-lane batches, want ≥ 90%%", 100*share)
+	}
+	// Every priced lane is a trial handed out with its total, or a total a
+	// commit discarded. A lane spent on a trial that was then handed out as
+	// certified would break the balance.
+	if q.stats.lanes != priced+q.stats.discarded {
+		t.Errorf("paper refinement priced %d lanes for %d priced trials and %d discarded totals", q.stats.lanes, priced, q.stats.discarded)
+	}
+}
+
+// TestCertifiedRefinersMatchUnrecorded pins the certificate's contract for
+// the refiners that use it: without RecordTrials, where certified trials
+// are rejected unpriced, Paper must match the always-batched reference and
+// Pairwise must match its own recorded run (which prices every pair), in
+// trials, improvements, final total and assignment, and at budget
+// exhaustion in the random stream too. A trial at the lower bound ends the
+// run, and the rng is not drawn from after it. Runs cover budgets that are
+// and are not whole batches, pinned clusters, termination switched off,
+// and a declared bound the run reaches part-way or drops below first,
+// which switches the certificate off mid-run.
+func TestCertifiedRefinersMatchUnrecorded(t *testing.T) {
+	refiners := []struct {
+		name      string
+		lazy, ref refRun
+	}{
+		{"paper", Paper{}.Refine, batchedPaper},
+		{"pairwise", Pairwise{}.Refine, func(ctx context.Context, sess *schedule.SwapSession, b Budget, rng *rand.Rand) Trace {
+			b.RecordTrials = true
+			tr := Pairwise{}.Refine(ctx, sess, b, rng)
+			tr.Totals = nil
+			return tr
+		}},
+	}
+	systems := []*graph.System{topology.Mesh(4, 4), topology.Hypercube(5), topology.Mesh(5, 8)}
+	certified, atBound := 0, 0
+	for si, sys := range systems {
+		for _, seed := range []int64{3, 1991} {
+			ev, start := instance(t, sys, seed+int64(si))
+			var free []int // every third cluster pinned
+			for k := 0; k < sys.NumNodes(); k++ {
+				if k%3 != 1 {
+					free = append(free, k)
+				}
+			}
+			for _, rf := range refiners {
+				for _, budget := range []int{1, 5, 8, 13, 100, 203, 1000} {
+					for variant, b := range []Budget{
+						{Trials: budget, LowerBound: 1},
+						{Trials: budget, LowerBound: 1, Free: free},
+						{Trials: budget, LowerBound: 1, DisableTermination: true},
+					} {
+						label := fmt.Sprintf("%s %s seed %d budget %d variant %d", rf.name, sys.Name, seed, budget, variant)
+						rb := b
+						rb.RecordTrials = true
+						recorded := rf.ref(context.Background(), ev.NewSwapSession(start), rb, rand.New(rand.NewSource(seed)))
+						compareUnrecorded(t, label, ev, start, b, seed, rf.lazy, rf.ref)
+						if len(recorded.Totals) > 2 {
+							b.LowerBound = recorded.Totals[len(recorded.Totals)/2]
+							if compareUnrecorded(t, label+" bound", ev, start, b, seed, rf.lazy, rf.ref).AtBound {
+								atBound++
+							}
+						}
+					}
+				}
+			}
+			var q trialQueue
+			Paper{}.refine(context.Background(), ev.NewSwapSession(start), Budget{Trials: 500, LowerBound: 1}, rand.New(rand.NewSource(seed)), &q)
+			certified += q.stats.certified
+		}
+	}
+	if certified == 0 || atBound == 0 {
+		t.Fatalf("%d paper trials certified, %d runs stopped at the bound; the comparison missed a path", certified, atBound)
+	}
+}
+
+// compareUnrecorded runs lazy and ref from the same start and generator
+// state without recording totals, and fails on any difference in the
+// trace or the final assignment, or, unless the run stopped at the lower
+// bound, in the generator's next draw. It returns the reference trace.
+func compareUnrecorded(t *testing.T, label string, ev *schedule.Evaluator, start *schedule.Assignment, b Budget, seed int64, lazy, ref refRun) Trace {
+	t.Helper()
+	refSess, lazySess := ev.NewSwapSession(start), ev.NewSwapSession(start)
+	refRng, lazyRng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+	want := ref(context.Background(), refSess, b, refRng)
+	got := lazy(context.Background(), lazySess, b, lazyRng)
+	if got.Trials != want.Trials || got.Improved != want.Improved || got.Final != want.Final || got.AtBound != want.AtBound {
+		t.Fatalf("%s: trace {trials %d improved %d final %d bound %v}, reference {%d %d %d %v}", label,
+			got.Trials, got.Improved, got.Final, got.AtBound, want.Trials, want.Improved, want.Final, want.AtBound)
+	}
+	if got.Totals != nil {
+		t.Fatalf("%s: totals recorded without RecordTrials", label)
+	}
+	if !slices.Equal(lazySess.ProcOf(), refSess.ProcOf()) || lazySess.TotalTime() != refSess.TotalTime() {
+		t.Fatalf("%s: final incumbent differs from the reference", label)
+	}
+	if !want.AtBound {
+		if g, w := lazyRng.Int63(), refRng.Int63(); g != w {
+			t.Fatalf("%s: random streams diverged", label)
+		}
+	}
+	return want
 }
