@@ -208,7 +208,7 @@ func (m *Mapper) pickSystemNode(va int, weight, deg []int, visitedSys []bool, as
 		into := dist[v*ns : v*ns+ns] // into[p] = dist(p, v)
 		cost := 0
 		for _, nbr := range neighbours {
-			cost += nbr.w * into[nbr.proc]
+			cost += nbr.w * int(into[nbr.proc])
 		}
 		adj := false
 		for _, w := range m.sys.Neighbors(v) {

@@ -2,6 +2,7 @@ package paths
 
 import (
 	"fmt"
+	"math"
 
 	"mimdmap/internal/graph"
 )
@@ -11,18 +12,23 @@ import (
 // analysing a system that was never validated.
 const Unreachable = int(^uint(0) >> 1) // max int
 
+// UnreachableCell is how an Unreachable distance is stored in a table's
+// int32 cells (Table.ToMajor); At reports it as Unreachable.
+const UnreachableCell = math.MaxInt32
+
 // Table is the all-pairs shortest path matrix of a system graph.
 type Table struct {
 	n int
 	// d[to*n+from] is the minimum number of links on a route from→to; the
 	// diagonal is 0. To-major order keeps the distances from every
 	// processor into one destination contiguous, which is the order the
-	// evaluator reads them in.
-	d []int
+	// evaluator reads them in. Cells are int32, half the memory of int
+	// cells: every finite distance is below UnreachableCell.
+	d []int32
 }
 
 // square returns the n×n cells of a pairwise table, every one set to fill.
-// It is the one allocation behind Table, Routes and LinkDelays.
+// It is the one allocation behind Routes and LinkDelays.
 func square(n, fill int) []int {
 	cells := make([]int, n*n)
 	for i := range cells {
@@ -32,7 +38,13 @@ func square(n, fill int) []int {
 }
 
 // newTable returns an n-node table with every pair Unreachable.
-func newTable(n int) *Table { return &Table{n: n, d: square(n, Unreachable)} }
+func newTable(n int) *Table {
+	cells := make([]int32, n*n)
+	for i := range cells {
+		cells[i] = UnreachableCell
+	}
+	return &Table{n: n, d: cells}
+}
 
 // New computes the shortest-path table of s by BFS from every node over its
 // neighbour lists, so each BFS visits every node and link once. Links are
@@ -50,7 +62,7 @@ func New(s *graph.System) *Table {
 		for head := 0; head < len(queue); head++ {
 			v := queue[head]
 			for _, w := range s.Neighbors(v) {
-				if into[w] == Unreachable {
+				if into[w] == UnreachableCell {
 					into[w] = into[v] + 1
 					queue = append(queue, w)
 				}
@@ -65,7 +77,7 @@ func New(s *graph.System) *Table {
 func FloydWarshall(s *graph.System) *Table {
 	n := s.NumNodes()
 	t := newTable(n)
-	set := func(from, to, d int) { t.d[to*n+from] = d }
+	set := func(from, to, d int) { t.d[to*n+from] = int32(d) }
 	for i := 0; i < n; i++ {
 		set(i, i, 0)
 		for _, j := range s.Neighbors(i) {
@@ -95,24 +107,30 @@ func FloydWarshall(s *graph.System) *Table {
 func (t *Table) NumNodes() int { return t.n }
 
 // At returns the shortest distance from processor from to processor to.
-func (t *Table) At(from, to int) int { return t.d[to*t.n+from] }
+func (t *Table) At(from, to int) int {
+	if d := t.d[to*t.n+from]; d != UnreachableCell {
+		return int(d)
+	}
+	return Unreachable
+}
 
 // ToMajor returns the table's cells in to-major order,
-// ToMajor()[to*n+from] == At(from, to), for hot loops that index distances
+// ToMajor()[to*n+from] == At(from, to) for every reachable pair, and
+// UnreachableCell for the others, for hot loops that index distances
 // directly. The slice is the table's own storage, shared with every caller
 // and returned without allocating: it is read-only.
-func (t *Table) ToMajor() []int { return t.d }
+func (t *Table) ToMajor() []int32 { return t.d }
 
 // Diameter returns the largest finite distance in the table, or Unreachable
 // if some pair is disconnected.
 func (t *Table) Diameter() int {
 	d := 0
 	for _, x := range t.d {
-		if x == Unreachable {
+		if x == UnreachableCell {
 			return Unreachable
 		}
-		if x > d {
-			d = x
+		if int(x) > d {
+			d = int(x)
 		}
 	}
 	return d
@@ -139,10 +157,10 @@ func (t *Table) MeanDistance() float64 {
 	}
 	sum := 0
 	for _, d := range t.d {
-		if d == Unreachable {
+		if d == UnreachableCell {
 			panic("paths: mean distance over disconnected graph")
 		}
-		sum += d // the diagonal adds 0
+		sum += int(d) // the diagonal adds 0
 	}
 	return float64(sum) / float64(n*(n-1))
 }
@@ -159,22 +177,22 @@ func (t *Table) Validate(s *graph.System) error {
 		return fmt.Errorf("paths: table covers %d nodes, system has %d", n, s.NumNodes())
 	}
 	for b := 0; b < n; b++ {
-		into := t.d[b*n : b*n+n] // into[a] = At(a, b)
 		for a := 0; a < n; a++ {
-			if into[a] != t.At(b, a) {
+			d := t.At(a, b)
+			if d != t.At(b, a) {
 				return fmt.Errorf("paths: asymmetric distance %d—%d", a, b)
 			}
 			want := 0
 			if a != b {
 				want = Unreachable
 				for _, v := range s.Neighbors(a) {
-					if into[v] != Unreachable && into[v]+1 < want {
-						want = into[v] + 1
+					if dv := t.At(v, b); dv != Unreachable && dv+1 < want {
+						want = dv + 1
 					}
 				}
 			}
-			if into[a] != want {
-				return fmt.Errorf("paths: distance %d→%d is %d, want %d", a, b, into[a], want)
+			if d != want {
+				return fmt.Errorf("paths: distance %d→%d is %d, want %d", a, b, d, want)
 			}
 		}
 	}

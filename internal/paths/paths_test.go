@@ -142,7 +142,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	} {
 		tab := New(tc.s)
 		for _, c := range tc.cells {
-			tab.d[c[1]*tab.n+c[0]] = c[2]
+			tab.d[c[1]*tab.n+c[0]] = int32(c[2])
 		}
 		if err := tab.Validate(tc.s); err == nil {
 			t.Errorf("%s: Validate accepted the corrupted table", tc.name)

@@ -85,15 +85,19 @@ func (q *dijkstraQueue) Pop() any {
 // under the given link delays, by Dijkstra from every node. Links and
 // their delays are undirected, so the search outward from a destination
 // finds every processor's distance into it. With unit delays it equals
-// New(s).
+// New(s). It rejects delays under which a distance would not fit the
+// table's int32 cells.
 func NewWeighted(s *graph.System, delays *LinkDelays) (*Table, error) {
 	if err := delays.Validate(s); err != nil {
 		return nil, err
 	}
 	n := s.NumNodes()
 	t := newTable(n)
+	into := make([]int, n) // distances into one destination, before narrowing
 	for to := 0; to < n; to++ {
-		into := t.d[to*n : to*n+n]
+		for v := range into {
+			into[v] = Unreachable
+		}
 		into[to] = 0
 		q := dijkstraQueue{{to, 0}}
 		for q.Len() > 0 {
@@ -106,6 +110,16 @@ func NewWeighted(s *graph.System, delays *LinkDelays) (*Table, error) {
 					into[v] = nd
 					heap.Push(&q, dijkstraItem{v, nd})
 				}
+			}
+		}
+		cells := t.d[to*n : to*n+n]
+		for v, d := range into {
+			switch {
+			case d == Unreachable:
+			case d >= UnreachableCell:
+				return nil, fmt.Errorf("paths: weighted distance %d→%d is %d, beyond the table's limit %d", v, to, d, UnreachableCell-1)
+			default:
+				cells[v] = int32(d)
 			}
 		}
 	}

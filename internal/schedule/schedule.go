@@ -130,7 +130,7 @@ type Evaluator struct {
 	// sequentially; predecessor edges are packed into one int32 record
 	// stream per kind to keep the per-edge cache traffic to a single line.
 	ns        int        // number of processors
-	distT     []int      // distT[to*ns+from] = Dist.At(from, to): Dist.ToMajor(), shared
+	distT     []int32    // distT[to*ns+from] = Dist.At(from, to): Dist.ToMajor(), shared
 	size      []int32    // size[t] = Prob.Size[order[t]]
 	clusOf    []int32    // clusOf[t] = Clus.Of[order[t]]
 	commOff   []int32    // CSR offsets (len n+1) into commEdges
@@ -276,7 +276,7 @@ func (e *Evaluator) EvaluateInto(a *Assignment, res *Result) {
 		if ces := e.commEdges[e.commOff[t]:e.commOff[t+1]]; len(ces) > 0 {
 			base := procOf[e.clusOf[t]] * e.ns
 			for _, ce := range ces {
-				if v := end[ce.pred] + int(ce.w)*e.distT[base+procOf[ce.clus]]; v > start {
+				if v := end[ce.pred] + int(ce.w)*int(e.distT[base+procOf[ce.clus]]); v > start {
 					start = v
 				}
 			}
@@ -323,7 +323,7 @@ func (e *Evaluator) fillEnds(procOf []int, end []int) int {
 		if ces := commEdges[commOff[t]:commOff[t+1]]; len(ces) > 0 {
 			base := procOf[clusOf[t]] * ns
 			for _, ce := range ces {
-				if v := end[ce.pred] + int(ce.w)*distT[base+procOf[ce.clus]]; v > start {
+				if v := end[ce.pred] + int(ce.w)*int(distT[base+procOf[ce.clus]]); v > start {
 					start = v
 				}
 			}

@@ -297,28 +297,28 @@ func (s *SwapSession) fullSwapBatch(totals *[SwapLanes]int) {
 				w := int(ce.w)
 				cl := int(ce.clus) * SwapLanes
 				pp := procT[cl : cl+SwapLanes]
-				if v := pe[0] + w*distT[b0+pp[0]]; v > start[0] {
+				if v := pe[0] + w*int(distT[b0+pp[0]]); v > start[0] {
 					start[0] = v
 				}
-				if v := pe[1] + w*distT[b1+pp[1]]; v > start[1] {
+				if v := pe[1] + w*int(distT[b1+pp[1]]); v > start[1] {
 					start[1] = v
 				}
-				if v := pe[2] + w*distT[b2+pp[2]]; v > start[2] {
+				if v := pe[2] + w*int(distT[b2+pp[2]]); v > start[2] {
 					start[2] = v
 				}
-				if v := pe[3] + w*distT[b3+pp[3]]; v > start[3] {
+				if v := pe[3] + w*int(distT[b3+pp[3]]); v > start[3] {
 					start[3] = v
 				}
-				if v := pe[4] + w*distT[b4+pp[4]]; v > start[4] {
+				if v := pe[4] + w*int(distT[b4+pp[4]]); v > start[4] {
 					start[4] = v
 				}
-				if v := pe[5] + w*distT[b5+pp[5]]; v > start[5] {
+				if v := pe[5] + w*int(distT[b5+pp[5]]); v > start[5] {
 					start[5] = v
 				}
-				if v := pe[6] + w*distT[b6+pp[6]]; v > start[6] {
+				if v := pe[6] + w*int(distT[b6+pp[6]]); v > start[6] {
 					start[6] = v
 				}
-				if v := pe[7] + w*distT[b7+pp[7]]; v > start[7] {
+				if v := pe[7] + w*int(distT[b7+pp[7]]); v > start[7] {
 					start[7] = v
 				}
 			}
@@ -399,7 +399,7 @@ func (s *SwapSession) traceChain() {
 		}
 		base, next := procOf[e.clusOf[t]]*ns, -1
 		for _, ce := range e.commEdges[e.commOff[t]:e.commOff[t+1]] {
-			if end[ce.pred]+int(ce.w)*distT[base+procOf[ce.clus]] == start {
+			if end[ce.pred]+int(ce.w)*int(distT[base+procOf[ce.clus]]) == start {
 				next = int(ce.pred)
 				break
 			}
