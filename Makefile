@@ -79,12 +79,14 @@ bench-module:
 
 # Short fuzzing pass so the checked-in fuzzers actually run in CI instead
 # of only replaying their corpus seeds: ~10s each on the text-format
-# problem, system and clustering parsers and the server's request
-# decoding/solve, remap and fleet forwarding paths.
+# problem, system and clustering parsers, the swap session's
+# critical-chain certificate, and the server's request decoding/solve,
+# remap and fleet forwarding paths.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseProblem$$' -fuzztime 10s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSystem$$' -fuzztime 10s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseClustering$$' -fuzztime 10s ./internal/graph/
+	$(GO) test -run '^$$' -fuzz '^FuzzCertificate$$' -fuzztime 10s ./internal/schedule/
 	$(GO) test -run '^$$' -fuzz '^FuzzSolveRequest$$' -fuzztime 10s ./cmd/mapserve/
 	$(GO) test -run '^$$' -fuzz '^FuzzRemapRequest$$' -fuzztime 10s ./cmd/mapserve/
 	$(GO) test -run '^$$' -fuzz '^FuzzForwardRequest$$' -fuzztime 10s ./cmd/mapserve/

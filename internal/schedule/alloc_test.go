@@ -38,7 +38,7 @@ func TestEvaluatorSharesDistanceTable(t *testing.T) {
 
 // TestSwapSessionZeroAllocs pins the refinement trial contract on every
 // refine benchmark machine: after a session is built, TrySwap,
-// TrySwapBatch and Commit allocate nothing.
+// TrySwapBatch, Commit and the certificate rebuild allocate nothing.
 func TestSwapSessionZeroAllocs(t *testing.T) {
 	for _, sys := range refineMachines() {
 		e, a := benchInstance(t, sys, 7)
@@ -57,8 +57,11 @@ func TestSwapSessionZeroAllocs(t *testing.T) {
 			sess.Commit()
 			refineBenchSink += sess.TrySwap(1, 2)
 			sess.Commit()
+			if sess.Certified(3, 4) {
+				refineBenchSink++
+			}
 		}); allocs != 0 {
-			t.Fatalf("%s: TrySwap+Commit allocates %v objects per call, want 0", sys.Name, allocs)
+			t.Fatalf("%s: TrySwap+Commit+Certified allocates %v objects per call, want 0", sys.Name, allocs)
 		}
 	}
 }

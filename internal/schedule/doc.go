@@ -28,8 +28,8 @@
 // a flattened, topologically renumbered predecessor CSR (packed int32 edge
 // records, weight 0 for intra-cluster precedences so the loop stays
 // branch-free) at construction, reads distances straight from the machine
-// table's to-major cells, and owns a reusable scratch arena so TotalTime
-// and EvaluateInto perform no per-call allocation. The arena makes an
+// table's to-major int32 cells, and owns a reusable scratch arena so
+// TotalTime and EvaluateInto perform no per-call allocation. The arena makes an
 // Evaluator single-goroutine: concurrent evaluators (one per refinement
 // chain, one per solver worker) must each use their own handle, obtained
 // with Fork, which shares the read-only precomputation and costs only one
@@ -38,11 +38,15 @@
 // Refinement goes one step further: its trials are single swaps of a
 // shared incumbent, so a SwapSession (swap.go) prices SwapLanes of them in
 // one interleaved pass, exactly and allocation-free; any other trial costs
-// one full pass, as in the paper. It also offers whole-assignment
-// pricing (TryAssign/CommitAssign) for permutation moves, annealing
-// restarts and jump perturbations. Every search strategy in internal/search
-// runs on a SwapSession, and CardSession is its cardinality twin for the
-// Bokhari baseline. See their documentation for the protocol.
+// one full pass, as in the paper. For refiners whose acceptance test is
+// strict improvement, the session also certifies swaps that cannot lower
+// the total because neither swapped cluster owns a task on a traced
+// critical chain (SwapSession.Certified); such trials need no pass at all.
+// It also offers whole-assignment pricing (TryAssign/CommitAssign) for
+// permutation moves, annealing restarts and jump perturbations. Every
+// search strategy in internal/search runs on a SwapSession, and
+// CardSession is its cardinality twin for the Bokhari baseline. See their
+// documentation for the protocol.
 //
 // A contention-aware evaluator (an extension beyond the paper, used only by
 // the ablation experiments) lives in contention.go; a link-contention

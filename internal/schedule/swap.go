@@ -116,7 +116,7 @@ type SwapSession struct {
 	// holds those of every lane of the last TrySwapBatch. Committing one
 	// of those swaps leaves the new incumbent's end times in that buffer:
 	// adopt names it (adoptScratch, a lane, or adoptNone) until the next
-	// pricing call overwrites it.
+	// pricing call.
 	onChain               []bool
 	chainOK               bool
 	scalarSwap, lanesSwap bool
@@ -176,10 +176,7 @@ func (s *SwapSession) TrySwap(k, l int) int {
 	total := s.e.fillEnds(a.ProcOf, s.scratch)
 	a.Swap(k, l)
 	s.lastK, s.lastL, s.lastTotal, s.pending = k, l, total, true
-	s.scalarSwap = true
-	if s.adopt == adoptScratch {
-		s.adopt = adoptNone
-	}
+	s.scalarSwap, s.adopt = true, adoptNone
 	return total
 }
 
@@ -190,10 +187,7 @@ func (s *SwapSession) TrySwap(k, l int) int {
 //
 //mapcheck:noalloc
 func (s *SwapSession) TryAssign(procOf []int) int {
-	s.pending, s.scalarSwap = false, false
-	if s.adopt == adoptScratch {
-		s.adopt = adoptNone
-	}
+	s.pending, s.scalarSwap, s.adopt = false, false, adoptNone
 	return s.e.fillEnds(procOf, s.scratch)
 }
 
@@ -267,10 +261,7 @@ func (s *SwapSession) CommitAssign(procOf []int, total int) {
 func (s *SwapSession) TrySwapBatch(ks, ls *[SwapLanes]int, totals *[SwapLanes]int) {
 	s.lanes.sync(ks, ls)
 	s.fullSwapBatch(totals)
-	s.lanesSwap = true
-	if s.adopt >= 0 {
-		s.adopt = adoptNone
-	}
+	s.lanesSwap, s.adopt = true, adoptNone
 }
 
 // fullSwapBatch is the batch kernel: one interleaved topological pass pricing all SwapLanes lanes, each edge record loaded

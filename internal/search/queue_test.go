@@ -398,9 +398,7 @@ func TestCertifiedRefinersMatchUnrecorded(t *testing.T) {
 		{"paper", Paper{}.Refine, batchedPaper},
 		{"pairwise", Pairwise{}.Refine, func(ctx context.Context, sess *schedule.SwapSession, b Budget, rng *rand.Rand) Trace {
 			b.RecordTrials = true
-			tr := Pairwise{}.Refine(ctx, sess, b, rng)
-			tr.Totals = nil
-			return tr
+			return Pairwise{}.Refine(ctx, sess, b, rng)
 		}},
 	}
 	systems := []*graph.System{topology.Mesh(4, 4), topology.Hypercube(5), topology.Mesh(5, 8)}
