@@ -93,10 +93,10 @@ func (v *laneViews) commitAssign(procOf []int) {
 // annealing restarts, Bokhari jumps). Every commit is O(1) apart from
 // CommitAssign's copy of the assignment; the certificate is rebuilt lazily,
 // at the first Certified query after a commit. A session allocates only at
-// construction; every Try/Commit method is
-// allocation-free. Sessions share the Evaluator's read-only precomputation,
-// so concurrent refinement chains may each run their own session against
-// one Evaluator without locks.
+// construction; every Try/Commit method and Certified is allocation-free.
+// Sessions share the Evaluator's read-only precomputation, so concurrent
+// refinement chains may each run their own session against one Evaluator
+// without locks.
 type SwapSession struct {
 	e *Evaluator
 
@@ -141,10 +141,9 @@ func (e *Evaluator) NewSwapSession(a *Assignment) *SwapSession {
 		endB:    make([][SwapLanes]int, n),
 		lanes:   newLaneViews(a),
 		onChain: make([]bool, a.K()),
-		adopt:   adoptNone,
+		adopt:   adoptScratch, // filled just below
 	}
 	s.total = e.fillEnds(s.lanes.a.ProcOf, s.scratch)
-	s.adopt = adoptScratch
 	return s
 }
 
