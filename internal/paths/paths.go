@@ -12,9 +12,9 @@ import (
 // analysing a system that was never validated.
 const Unreachable = int(^uint(0) >> 1) // max int
 
-// UnreachableCell is how an Unreachable distance is stored in a table's
+// unreachableCell is how an Unreachable distance is stored in a table's
 // int32 cells (Table.ToMajor); At reports it as Unreachable.
-const UnreachableCell = math.MaxInt32
+const unreachableCell = math.MaxInt32
 
 // Table is the all-pairs shortest path matrix of a system graph.
 type Table struct {
@@ -23,7 +23,7 @@ type Table struct {
 	// diagonal is 0. To-major order keeps the distances from every
 	// processor into one destination contiguous, which is the order the
 	// evaluator reads them in. Cells are int32, half the memory of int
-	// cells: every finite distance is below UnreachableCell.
+	// cells: every finite distance is below unreachableCell.
 	d []int32
 }
 
@@ -41,7 +41,7 @@ func square(n, fill int) []int {
 func newTable(n int) *Table {
 	cells := make([]int32, n*n)
 	for i := range cells {
-		cells[i] = UnreachableCell
+		cells[i] = unreachableCell
 	}
 	return &Table{n: n, d: cells}
 }
@@ -62,7 +62,7 @@ func New(s *graph.System) *Table {
 		for head := 0; head < len(queue); head++ {
 			v := queue[head]
 			for _, w := range s.Neighbors(v) {
-				if into[w] == UnreachableCell {
+				if into[w] == unreachableCell {
 					into[w] = into[v] + 1
 					queue = append(queue, w)
 				}
@@ -108,7 +108,7 @@ func (t *Table) NumNodes() int { return t.n }
 
 // At returns the shortest distance from processor from to processor to.
 func (t *Table) At(from, to int) int {
-	if d := t.d[to*t.n+from]; d != UnreachableCell {
+	if d := t.d[to*t.n+from]; d != unreachableCell {
 		return int(d)
 	}
 	return Unreachable
@@ -116,7 +116,7 @@ func (t *Table) At(from, to int) int {
 
 // ToMajor returns the table's cells in to-major order,
 // ToMajor()[to*n+from] == At(from, to) for every reachable pair, and
-// UnreachableCell for the others, for hot loops that index distances
+// math.MaxInt32 for the others, for hot loops that index distances
 // directly. The slice is the table's own storage, shared with every caller
 // and returned without allocating: it is read-only.
 func (t *Table) ToMajor() []int32 { return t.d }
@@ -126,7 +126,7 @@ func (t *Table) ToMajor() []int32 { return t.d }
 func (t *Table) Diameter() int {
 	d := 0
 	for _, x := range t.d {
-		if x == UnreachableCell {
+		if x == unreachableCell {
 			return Unreachable
 		}
 		if int(x) > d {
@@ -157,7 +157,7 @@ func (t *Table) MeanDistance() float64 {
 	}
 	sum := 0
 	for _, d := range t.d {
-		if d == UnreachableCell {
+		if d == unreachableCell {
 			panic("paths: mean distance over disconnected graph")
 		}
 		sum += int(d) // the diagonal adds 0

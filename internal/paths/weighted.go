@@ -116,8 +116,8 @@ func NewWeighted(s *graph.System, delays *LinkDelays) (*Table, error) {
 		for v, d := range into {
 			switch {
 			case d == Unreachable:
-			case d >= UnreachableCell:
-				return nil, fmt.Errorf("paths: weighted distance %d→%d is %d, beyond the table's limit %d", v, to, d, UnreachableCell-1)
+			case d >= unreachableCell:
+				return nil, fmt.Errorf("paths: weighted distance %d→%d is %d, beyond the table's limit %d", v, to, d, unreachableCell-1)
 			default:
 				cells[v] = int32(d)
 			}

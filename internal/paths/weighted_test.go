@@ -77,7 +77,7 @@ func TestWeightedChainAccumulates(t *testing.T) {
 func TestWeightedCellLimit(t *testing.T) {
 	s := topology.Ring(3)
 	d := NewLinkDelays(3)
-	d.Set(0, 1, UnreachableCell-2)
+	d.Set(0, 1, unreachableCell-2)
 	tab, err := NewWeighted(s, d)
 	if err != nil {
 		t.Fatalf("rejected a bypassed costly link: %v", err)
@@ -85,15 +85,15 @@ func TestWeightedCellLimit(t *testing.T) {
 	if got := tab.At(0, 1); got != 2 {
 		t.Fatalf("dist(0,1) = %d, want 2 around the ring", got)
 	}
-	d.Set(1, 2, UnreachableCell-2)
-	d.Set(2, 0, UnreachableCell-2)
+	d.Set(1, 2, unreachableCell-2)
+	d.Set(2, 0, unreachableCell-2)
 	if tab, err = NewWeighted(s, d); err != nil {
 		t.Fatalf("rejected distances below the limit: %v", err)
 	}
-	if got := tab.At(0, 1); got != UnreachableCell-2 {
-		t.Fatalf("dist(0,1) = %d, want %d", got, UnreachableCell-2)
+	if got := tab.At(0, 1); got != unreachableCell-2 {
+		t.Fatalf("dist(0,1) = %d, want %d", got, unreachableCell-2)
 	}
-	d.Set(0, 1, UnreachableCell)
+	d.Set(0, 1, unreachableCell)
 	d.Set(2, 0, 2)
 	if _, err := NewWeighted(s, d); err == nil {
 		t.Fatal("accepted a distance past the int32 cell limit")
