@@ -15,11 +15,11 @@ const queueCap = 64
 // refiners share. Candidate swaps are drawn ahead and resolved strictly in
 // draw order against the incumbent they would have seen sequentially; an
 // accepted trial invalidates the state of the candidates behind it, which
-// stay queued and are resolved again against the new incumbent. Draws
-// happen exactly where the trial-at-a-time loop would make them — the
-// queue refills only when it runs empty or after a commit, and only when
-// the refiner asks for its next trial — so the random stream is that of
-// always-batched pricing.
+// stay queued and are resolved again against the new incumbent. In plain
+// mode draws happen exactly where the trial-at-a-time loop would make them
+// — the queue refills only when it runs empty or after a commit, and only
+// when the refiner asks for its next trial — so the random stream is that
+// of always-batched pricing.
 //
 // Pricing is lazy: an entry is priced only when the refiner reaches it,
 // either alone through TrySwap or together with up to SwapLanes-1 other
