@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test golden race vet lint vuln bench bench-smoke bench-module fuzz-smoke examples-smoke ci clean
+.PHONY: all build test golden race vet lint vuln bench bench-smoke bench-module fuzz-smoke examples-smoke loc ci clean
 
 all: ci
 
@@ -100,6 +100,11 @@ examples-smoke:
 		echo "examples-smoke: $$d"; \
 		$(GO) run "./$$d" > /dev/null || exit 1; \
 	done
+
+# Count the non-test Go lines outside the benchmark module, the size
+# ROADMAP quotes. Tracked files only; informational, so not part of ci.
+loc:
+	@git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^bench/' | xargs cat | wc -l
 
 ci: build vet lint test race bench-smoke bench-module fuzz-smoke examples-smoke
 

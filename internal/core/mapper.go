@@ -8,6 +8,7 @@ import (
 	"mimdmap/internal/critical"
 	"mimdmap/internal/graph"
 	"mimdmap/internal/ideal"
+	"mimdmap/internal/parallel"
 	"mimdmap/internal/paths"
 	"mimdmap/internal/schedule"
 	"mimdmap/internal/search"
@@ -242,7 +243,7 @@ func (m *Mapper) RunContext(ctx context.Context) (*Result, error) {
 	if err != nil || res.OptimalProven {
 		return res, err
 	}
-	m.refine(ctx, m.opts.Rand, m.eval, res)
+	m.refine(ctx, 0, res)
 	return res, nil
 }
 
@@ -303,24 +304,67 @@ func (m *Mapper) refiner() search.Refiner {
 	return search.Paper{}
 }
 
-// refine runs the configured search strategy in place on res, drawing
-// moves from rng and stopping early when ctx is cancelled. ev is the
-// chain's evaluation handle: concurrent chains pass their own fork so
-// scratch arenas are never shared. The strategy prices its trials through
-// a batched SwapSession committed to the chain's assignment (the
-// construction of the session is the chain's only refinement allocation);
-// the paper refiner's accept/reject decisions and random stream are
-// bit-identical to the historical trial-at-a-time loop.
-func (m *Mapper) refine(ctx context.Context, rng *rand.Rand, ev *schedule.Evaluator, res *Result) {
-	budget := m.opts.MaxRefinements
-	if budget == 0 {
-		budget = m.sys.NumNodes()
+// budget is the trial budget of one refinement chain over the mapper's
+// movable clusters; ok is false when refinement is off or nothing can move.
+func (m *Mapper) budget(bound int) (b search.Budget, ok bool) {
+	trials := m.opts.MaxRefinements
+	if trials == 0 {
+		trials = m.sys.NumNodes()
 	}
-	if budget < 0 {
+	if trials < 0 || len(m.freeClusters) < 2 {
+		return b, false
+	}
+	return search.Budget{
+		Trials:             trials,
+		Free:               m.freeClusters,
+		FreeProcs:          m.freeProcs,
+		LowerBound:         bound,
+		DisableTermination: m.opts.DisableTermination,
+		RecordTrials:       m.opts.RecordTrials,
+		Rounds:             m.opts.PortfolioRounds,
+		Arms:               m.opts.PortfolioArms,
+	}, true
+}
+
+// chain returns the generator and evaluation handle of refinement chain i.
+// Chain 0 consumes Options.Rand on the mapper's own evaluator, so a single
+// chain is the sequential path. Chain i > 0 draws from a generator seeded
+// with parallel.DeriveSeed(Options.Seed, i) (seed 0 means 1) and evaluates
+// on a fork sharing the read-only precomputation: chains run concurrently
+// and evaluation scratch is per evaluator.
+func (m *Mapper) chain(i int) (*rand.Rand, *schedule.Evaluator) {
+	if i == 0 {
+		return m.opts.Rand, m.eval
+	}
+	seed := m.opts.Seed
+	if seed == 0 {
+		seed = 1
+	}
+	return rand.New(rand.NewSource(parallel.DeriveSeed(seed, i))), m.eval.Fork()
+}
+
+// fold writes a finished refinement chain into r: procOf is the chain's
+// final assignment and tr its trace.
+func (r *Result) fold(procOf []int, tr search.Trace) {
+	copy(r.Assignment.ProcOf, procOf)
+	r.TotalTime = tr.Final
+	r.Refinements += tr.Trials
+	r.Improved += tr.Improved
+	r.Trials = append(r.Trials, tr.Totals...)
+	r.Arms = tr.Arms
+	r.WinningArm = tr.WinningArm
+}
+
+// refine runs the configured search strategy in place on res as chain i
+// (see chain), stopping early when ctx is cancelled. The strategy prices
+// its trials through a batched SwapSession committed to the chain's
+// assignment (the construction of the session is the chain's only
+// refinement allocation); the paper refiner's accept/reject decisions and
+// random stream are bit-identical to the historical trial-at-a-time loop.
+func (m *Mapper) refine(ctx context.Context, i int, res *Result) {
+	b, ok := m.budget(res.LowerBound)
+	if !ok {
 		return
-	}
-	if len(m.freeClusters) < 2 {
-		return // nothing can move
 	}
 	// Warm starts guarantee never-worse: snapshot the incumbent-derived
 	// state so a refiner that may end above its starting point (annealing)
@@ -331,26 +375,9 @@ func (m *Mapper) refine(ctx context.Context, rng *rand.Rand, ev *schedule.Evalua
 	if m.opts.Incumbent != nil {
 		snapshot = append([]int(nil), res.Assignment.ProcOf...)
 	}
+	rng, ev := m.chain(i)
 	sess := ev.NewSwapSession(res.Assignment)
-	trace := m.refiner().Refine(ctx, sess, search.Budget{
-		Trials:             budget,
-		Free:               m.freeClusters,
-		FreeProcs:          m.freeProcs,
-		LowerBound:         res.LowerBound,
-		DisableTermination: m.opts.DisableTermination,
-		RecordTrials:       m.opts.RecordTrials,
-		Rounds:             m.opts.PortfolioRounds,
-		Arms:               m.opts.PortfolioArms,
-	}, rng)
-	copy(res.Assignment.ProcOf, sess.ProcOf())
-	res.TotalTime = trace.Final
-	res.Refinements += trace.Trials
-	res.Improved += trace.Improved
-	if trace.Totals != nil {
-		res.Trials = append(res.Trials, trace.Totals...)
-	}
-	res.Arms = trace.Arms
-	res.WinningArm = trace.WinningArm
+	res.fold(sess.ProcOf(), m.refiner().Refine(ctx, sess, b, rng))
 	if snapshot != nil && res.TotalTime > preTotal {
 		copy(res.Assignment.ProcOf, snapshot)
 		res.TotalTime = preTotal

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math/rand"
 	"sync"
 
 	"mimdmap/internal/graph"
@@ -43,10 +42,6 @@ func (m *Mapper) RunParallel(ctx context.Context) (*Result, error) {
 	if rr, ok := m.refiner().(search.RoundRefiner); ok {
 		return m.runRounds(ctx, rr, base)
 	}
-	seed := m.opts.Seed
-	if seed == 0 {
-		seed = 1
-	}
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	results := make([]*Result, starts)
@@ -54,26 +49,8 @@ func (m *Mapper) RunParallel(ctx context.Context) (*Result, error) {
 	// cancellation — either ours (a chain proved optimality) or the
 	// caller's; both leave the best-so-far selection below valid.
 	_ = parallel.ForEach(cctx, starts, m.opts.Workers, func(chainCtx context.Context, i int) error {
-		res := &Result{
-			Assignment:       base.Assignment.Clone(),
-			TotalTime:        base.TotalTime,
-			LowerBound:       base.LowerBound,
-			InitialTotalTime: base.InitialTotalTime,
-			FrozenClusters:   base.FrozenClusters,
-			Ideal:            base.Ideal,
-			Critical:         base.Critical,
-			Chain:            i,
-		}
-		rng := m.opts.Rand
-		ev := m.eval
-		if i > 0 {
-			rng = rand.New(rand.NewSource(parallel.DeriveSeed(seed, i)))
-			// Chains run concurrently and evaluation scratch is per
-			// evaluator, so every chain beyond the first works on a fork
-			// sharing the read-only precomputation.
-			ev = m.eval.Fork()
-		}
-		m.refine(chainCtx, rng, ev, res)
+		res := base.forChain(i)
+		m.refine(chainCtx, i, res)
 		results[i] = res
 		if res.OptimalProven && !m.opts.DisableTermination {
 			cancel()
@@ -112,16 +89,9 @@ func (m *Mapper) RunParallel(ctx context.Context) (*Result, error) {
 // finishes its round, and the driver stops everything at the next barrier.
 func (m *Mapper) runRounds(ctx context.Context, rr search.RoundRefiner, base *Result) (*Result, error) {
 	starts := m.opts.Starts
-	budget := m.opts.MaxRefinements
-	if budget == 0 {
-		budget = m.sys.NumNodes()
-	}
-	if budget < 0 || len(m.freeClusters) < 2 {
+	b, ok := m.budget(base.LowerBound)
+	if !ok {
 		return base, nil
-	}
-	seed := m.opts.Seed
-	if seed == 0 {
-		seed = 1
 	}
 	type chainRun struct {
 		res   *Result
@@ -130,33 +100,9 @@ func (m *Mapper) runRounds(ctx context.Context, rr search.RoundRefiner, base *Re
 	}
 	chains := make([]chainRun, starts)
 	for i := range chains {
-		res := &Result{
-			Assignment:       base.Assignment.Clone(),
-			TotalTime:        base.TotalTime,
-			LowerBound:       base.LowerBound,
-			InitialTotalTime: base.InitialTotalTime,
-			FrozenClusters:   base.FrozenClusters,
-			Ideal:            base.Ideal,
-			Critical:         base.Critical,
-			Chain:            i,
-		}
-		rng := m.opts.Rand
-		ev := m.eval
-		if i > 0 {
-			rng = rand.New(rand.NewSource(parallel.DeriveSeed(seed, i)))
-			ev = m.eval.Fork()
-		}
-		chains[i].res = res
-		chains[i].state = rr.NewChainState(ev.NewSwapSession(res.Assignment), search.Budget{
-			Trials:             budget,
-			Free:               m.freeClusters,
-			FreeProcs:          m.freeProcs,
-			LowerBound:         res.LowerBound,
-			DisableTermination: m.opts.DisableTermination,
-			RecordTrials:       m.opts.RecordTrials,
-			Rounds:             m.opts.PortfolioRounds,
-			Arms:               m.opts.PortfolioArms,
-		}, rng)
+		rng, ev := m.chain(i)
+		chains[i].res = base.forChain(i)
+		chains[i].state = rr.NewChainState(ev.NewSwapSession(chains[i].res.Assignment), b, rng)
 	}
 	ex := newEliteExchange(starts, m.clus.K)
 	for ctx.Err() == nil {
@@ -185,16 +131,8 @@ func (m *Mapper) runRounds(ctx context.Context, rr search.RoundRefiner, base *Re
 	}
 	var best *Result
 	for i := range chains {
-		trace := chains[i].state.Finish()
 		res := chains[i].res
-		copy(res.Assignment.ProcOf, chains[i].state.Best().ProcOf)
-		res.TotalTime = trace.Final
-		res.Refinements = trace.Trials
-		res.Improved = trace.Improved
-		if trace.Totals != nil {
-			res.Trials = append(res.Trials, trace.Totals...)
-		}
-		res.WinningArm = trace.WinningArm
+		res.fold(chains[i].state.Best().ProcOf, chains[i].state.Finish())
 		res.OptimalProven = res.TotalTime == res.LowerBound
 		if best == nil || res.TotalTime < best.TotalTime {
 			best = res
@@ -204,6 +142,20 @@ func (m *Mapper) runRounds(ctx context.Context, rr search.RoundRefiner, base *Re
 		return chains[i].state.Finish().Arms
 	}, starts)
 	return best, nil
+}
+
+// forChain returns chain i's own copy of the analysed starting state.
+func (r *Result) forChain(i int) *Result {
+	return &Result{
+		Assignment:       r.Assignment.Clone(),
+		TotalTime:        r.TotalTime,
+		LowerBound:       r.LowerBound,
+		InitialTotalTime: r.InitialTotalTime,
+		FrozenClusters:   r.FrozenClusters,
+		Ideal:            r.Ideal,
+		Critical:         r.Critical,
+		Chain:            i,
+	}
 }
 
 // mergeArmStats sums the per-arm budget split across all chains, keeping

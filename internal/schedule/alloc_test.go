@@ -38,7 +38,7 @@ func TestEvaluatorSharesDistanceTable(t *testing.T) {
 
 // TestSwapSessionZeroAllocs pins the refinement trial contract on every
 // refine benchmark machine: after a session is built, TrySwap,
-// TrySwapBatch, Commit and the certificate rebuild allocate nothing.
+// TrySwapBatch, CommitSwap and the certificate rebuild allocate nothing.
 func TestSwapSessionZeroAllocs(t *testing.T) {
 	for _, sys := range refineMachines() {
 		e, a := benchInstance(t, sys, 7)
@@ -53,15 +53,16 @@ func TestSwapSessionZeroAllocs(t *testing.T) {
 			t.Fatalf("%s: TrySwapBatch allocates %v objects per call, want 0", sys.Name, allocs)
 		}
 		if allocs := testing.AllocsPerRun(200, func() {
-			refineBenchSink += sess.TrySwap(1, 2)
-			sess.Commit()
-			refineBenchSink += sess.TrySwap(1, 2)
-			sess.Commit()
+			total := sess.TrySwap(1, 2)
+			sess.CommitSwap(1, 2, total)
+			total = sess.TrySwap(1, 2)
+			sess.CommitSwap(1, 2, total)
+			refineBenchSink += total
 			if sess.Certified(3, 4) {
 				refineBenchSink++
 			}
 		}); allocs != 0 {
-			t.Fatalf("%s: TrySwap+Commit+Certified allocates %v objects per call, want 0", sys.Name, allocs)
+			t.Fatalf("%s: TrySwap+CommitSwap+Certified allocates %v objects per call, want 0", sys.Name, allocs)
 		}
 	}
 }
@@ -104,11 +105,12 @@ func TestSwapSessionMatchesEvaluator(t *testing.T) {
 				oracle.Swap(ks[l], ls[l])
 			}
 			// Scalar trial and occasional commit keep incumbents moving.
-			if tot := sess.TrySwap(ks[0], ls[0]); tot != totals[0] {
+			tot := sess.TrySwap(ks[0], ls[0])
+			if tot != totals[0] {
 				t.Fatalf("round %d: TrySwap %d != batch lane 0 %d", round, tot, totals[0])
 			}
 			if round%3 == 0 {
-				sess.Commit()
+				sess.CommitSwap(ks[0], ls[0], tot)
 				oracle.Swap(ks[0], ls[0])
 				if sess.TotalTime() != check.TotalTime(oracle) {
 					t.Fatalf("round %d: committed total %d, evaluator says %d", round, sess.TotalTime(), check.TotalTime(oracle))

@@ -38,7 +38,9 @@
 // Refinement goes one step further: its trials are single swaps of a
 // shared incumbent, so a SwapSession (swap.go) prices SwapLanes of them in
 // one interleaved pass, exactly and allocation-free; any other trial costs
-// one full pass, as in the paper. For refiners whose acceptance test is
+// one full pass, as in the paper. Pricing (TrySwap, TrySwapBatch) never
+// changes the incumbent; CommitSwap accepts a priced swap with the total
+// its pricing call returned. For refiners whose acceptance test is
 // strict improvement, the session also certifies swaps that cannot lower
 // the total because neither swapped cluster owns a task on a traced
 // critical chain (SwapSession.Certified); such trials need no pass at all.

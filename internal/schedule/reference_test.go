@@ -237,11 +237,11 @@ func TestCertificateSound(t *testing.T) {
 						lane := rng.Intn(SwapLanes)
 						s.CommitSwap(ks[lane], ls[lane], totals[lane])
 					}
-				case 2: // a single trial, then maybe Commit
+				case 2: // a single trial, then maybe commit it
 					i, j := draw()
-					s.TrySwap(i, j)
+					total := s.TrySwap(i, j)
 					if commit {
-						s.Commit()
+						s.CommitSwap(i, j, total)
 					}
 				case 3: // a whole-assignment trial, then maybe CommitAssign
 					copy(perm, s.ProcOf())
@@ -340,9 +340,9 @@ func FuzzCertificate(f *testing.F) {
 					s.CommitSwap(ks[lane], ls[lane], totals[lane])
 				}
 			case 1: // a single trial, committed on the op's high bit
-				s.TrySwap(i, j)
+				total := s.TrySwap(i, j)
 				if op&4 != 0 {
-					s.Commit()
+					s.CommitSwap(i, j, total)
 				}
 			case 2: // a reversal of the incumbent between i and j
 				perm := slices.Clone(s.ProcOf())

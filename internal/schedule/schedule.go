@@ -267,28 +267,11 @@ func (e *Evaluator) EvaluateInto(a *Assignment, res *Result) {
 	//mapcheck:allow cold grow path: warm Results reuse capacity, the steady state allocates nothing
 	res.End = growInts(res.End, n)
 	res.LatestTasks = res.LatestTasks[:0]
-	res.TotalTime = 0
-	end := e.end
-	procOf := a.ProcOf
-	total := 0
-	for t := 0; t < n; t++ {
-		start := 0
-		if ces := e.commEdges[e.commOff[t]:e.commOff[t+1]]; len(ces) > 0 {
-			base := procOf[e.clusOf[t]] * e.ns
-			for _, ce := range ces {
-				if v := end[ce.pred] + int(ce.w)*int(e.distT[base+procOf[ce.clus]]); v > start {
-					start = v
-				}
-			}
-		}
-		v := start + int(e.size[t])
-		end[t] = v
+	total := e.fillEnds(a.ProcOf, e.end)
+	for t, v := range e.end {
 		i := e.order[t]
-		res.Start[i] = start
+		res.Start[i] = v - int(e.size[t])
 		res.End[i] = v
-		if v > total {
-			total = v
-		}
 	}
 	res.TotalTime = total
 	for i := 0; i < n; i++ {
@@ -311,7 +294,8 @@ func (e *Evaluator) TotalTime(a *Assignment) int {
 
 // fillEnds runs the topological evaluation pass, writing the end time of
 // every task (by topological position) into end and returning the
-// makespan. It is the shared body of TotalTime and SwapSession priming.
+// makespan. It is the shared body of TotalTime, EvaluateInto and the
+// SwapSession's scalar passes.
 //
 //mapcheck:noalloc
 func (e *Evaluator) fillEnds(procOf []int, end []int) int {

@@ -24,9 +24,10 @@ func sessionTestSystems(seed int64) []*graph.System {
 // TestSwapSessionExactOverRandomSequences is the session's exactness
 // oracle: over random sequences of TrySwap, TrySwapBatch (with duplicate
 // and identity lanes), TryAssign, repeated pairs and every kind of commit,
-// each total a session returns must equal Evaluator.TotalTime of the
-// assignment it prices, and the committed incumbent and total must mirror
-// an independently maintained copy.
+// each total a session returns must equal the total time of the paper's
+// own procedure (referenceSchedule) on the assignment it prices, and the
+// committed incumbent and total must mirror an independently maintained
+// copy.
 func TestSwapSessionExactOverRandomSequences(t *testing.T) {
 	for _, sys := range sessionTestSystems(17) {
 		for _, seed := range []int64{3, 1991} {
@@ -35,10 +36,13 @@ func TestSwapSessionExactOverRandomSequences(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed + 7))
 			s := e.NewSwapSession(a)
 			oracle := a.Clone()
+			reference := func(procOf []int) int {
+				return referenceSchedule(e.Prob, e.Clus, e.Dist, procOf).TotalTime
+			}
 			price := func(i, j int) int {
 				oracle.Swap(i, j)
 				defer oracle.Swap(i, j)
-				return e.TotalTime(oracle)
+				return reference(oracle.ProcOf)
 			}
 
 			var ks, ls, totals [SwapLanes]int
@@ -49,8 +53,8 @@ func TestSwapSessionExactOverRandomSequences(t *testing.T) {
 				if !slices.Equal(s.ProcOf(), oracle.ProcOf) {
 					t.Fatalf("%s: session incumbent %v, want %v", label, s.ProcOf(), oracle.ProcOf)
 				}
-				if want := e.TotalTime(oracle); s.TotalTime() != want {
-					t.Fatalf("%s: committed total %d, evaluator says %d", label, s.TotalTime(), want)
+				if want := reference(oracle.ProcOf); s.TotalTime() != want {
+					t.Fatalf("%s: committed total %d, reference says %d", label, s.TotalTime(), want)
 				}
 				commit := rng.Intn(3) == 0
 				switch op := rng.Intn(4); op {
@@ -64,7 +68,7 @@ func TestSwapSessionExactOverRandomSequences(t *testing.T) {
 					s.TrySwapBatch(&ks, &ls, &totals)
 					for l := range totals {
 						if want := price(ks[l], ls[l]); totals[l] != want {
-							t.Fatalf("%s: batch lane %d (%d,%d) total %d, evaluator says %d", label, l, ks[l], ls[l], totals[l], want)
+							t.Fatalf("%s: batch lane %d (%d,%d) total %d, reference says %d", label, l, ks[l], ls[l], totals[l], want)
 						}
 					}
 					if commit {
@@ -72,26 +76,27 @@ func TestSwapSessionExactOverRandomSequences(t *testing.T) {
 						oracle.Swap(ks[lane], ls[lane])
 					}
 					lastK, lastL = ks[0], ls[0]
-				case 1: // a single trial (sometimes the identity), then maybe Commit
+				case 1: // a single trial (sometimes the identity), then maybe commit it
 					lastK, lastL = RandSwapPair(rng, k)
 					if step%5 == 0 {
 						lastL = lastK
 					}
 					fallthrough
-				case 2: // replay the last priced pair, then maybe Commit
+				case 2: // replay the last priced pair, then maybe commit it
 					want := price(lastK, lastL)
-					if got := s.TrySwap(lastK, lastL); got != want {
-						t.Fatalf("%s: TrySwap(%d,%d) = %d, evaluator says %d", label, lastK, lastL, got, want)
+					got := s.TrySwap(lastK, lastL)
+					if got != want {
+						t.Fatalf("%s: TrySwap(%d,%d) = %d, reference says %d", label, lastK, lastL, got, want)
 					}
 					if commit {
-						s.Commit()
+						s.CommitSwap(lastK, lastL, got)
 						oracle.Swap(lastK, lastL)
 					}
 				case 3: // a whole-assignment trial, then maybe CommitAssign
 					RandPermInto(rng, perm)
-					want := e.TotalTime(FromPerm(perm))
+					want := reference(perm)
 					if got := s.TryAssign(perm); got != want {
-						t.Fatalf("%s: TryAssign = %d, evaluator says %d", label, got, want)
+						t.Fatalf("%s: TryAssign = %d, reference says %d", label, got, want)
 					}
 					if commit {
 						s.CommitAssign(perm, want)

@@ -87,12 +87,12 @@ func (v *laneViews) commitAssign(procOf []int) {
 // says the swap cannot lower it: the critical-chain certificate below.
 //
 // Protocol: TrySwap/TrySwapBatch/TryAssign never change the committed
-// state; Commit promotes the most recent TrySwap, CommitSwap accepts a swap
-// whose exact total the caller already knows (e.g. a TrySwapBatch lane),
-// and CommitAssign replaces the incumbent wholesale (full-reshuffle moves,
-// annealing restarts, Bokhari jumps). Every commit is O(1) apart from
-// CommitAssign's copy of the assignment; the certificate is rebuilt lazily,
-// at the first Certified query after a commit. A session allocates only at
+// state; CommitSwap accepts a swap whose exact total the caller already
+// knows from TrySwap or a TrySwapBatch lane, and CommitAssign replaces the
+// incumbent wholesale (full-reshuffle moves, annealing restarts, Bokhari
+// jumps). Every commit is O(1) apart from CommitAssign's copy of the
+// assignment; the certificate is rebuilt lazily, at the first Certified
+// query after a commit. A session allocates only at
 // construction; every Try/Commit method and Certified is allocation-free.
 // Sessions share the Evaluator's read-only precomputation, so concurrent
 // refinement chains may each run their own session against one Evaluator
@@ -106,19 +106,17 @@ type SwapSession struct {
 	lanes laneViews        // lane-major views of the batch kernel
 	endB  [][SwapLanes]int // lane-interleaved end times of the batch pass
 
-	lastK, lastL, lastTotal int
-	pending                 bool
-
 	// The critical-chain certificate: onChain[c] reports that cluster c
 	// owns a task on one traced critical chain of the incumbent, valid
 	// while chainOK. scalarSwap reports that scratch holds the end times
-	// of the incumbent with (lastK, lastL) swapped; lanesSwap that endB
-	// holds those of every lane of the last TrySwapBatch. Committing one
-	// of those swaps leaves the new incumbent's end times in that buffer:
-	// adopt names it (adoptScratch, a lane, or adoptNone) until the next
-	// pricing call.
+	// of the incumbent with (lastK, lastL), the pair of the last TrySwap,
+	// swapped; lanesSwap that endB holds those of every lane of the last
+	// TrySwapBatch. Committing one of those swaps leaves the new
+	// incumbent's end times in that buffer: adopt names it (adoptScratch,
+	// a lane, or adoptNone) until the next pricing call.
 	onChain               []bool
 	chainOK               bool
+	lastK, lastL          int
 	scalarSwap, lanesSwap bool
 	adopt                 int
 }
@@ -164,8 +162,8 @@ func (s *SwapSession) K() int { return s.lanes.a.K() }
 func (s *SwapSession) Evaluator() *Evaluator { return s.e }
 
 // TrySwap returns the exact total time of the incumbent with clusters k and
-// l exchanged, without committing. Call Commit to accept the trial.
-// TrySwap(k, k) prices the incumbent itself. Each call costs one full
+// l exchanged, without committing; CommitSwap with that total accepts the
+// trial. TrySwap(k, k) prices the incumbent itself. Each call costs one full
 // scalar evaluation of the swapped incumbent.
 //
 //mapcheck:noalloc
@@ -174,7 +172,7 @@ func (s *SwapSession) TrySwap(k, l int) int {
 	a.Swap(k, l)
 	total := s.e.fillEnds(a.ProcOf, s.scratch)
 	a.Swap(k, l)
-	s.lastK, s.lastL, s.lastTotal, s.pending = k, l, total, true
+	s.lastK, s.lastL = k, l
 	s.scalarSwap, s.adopt = true, adoptNone
 	return total
 }
@@ -186,21 +184,8 @@ func (s *SwapSession) TrySwap(k, l int) int {
 //
 //mapcheck:noalloc
 func (s *SwapSession) TryAssign(procOf []int) int {
-	s.pending, s.scalarSwap, s.adopt = false, false, adoptNone
+	s.scalarSwap, s.adopt = false, adoptNone
 	return s.e.fillEnds(procOf, s.scratch)
-}
-
-// Commit promotes the most recent TrySwap trial to committed state in
-// O(1). It panics if no trial is pending. To accept a TrySwapBatch lane,
-// use CommitSwap with the lane's clusters and total.
-//
-//mapcheck:noalloc
-func (s *SwapSession) Commit() {
-	if !s.pending {
-		//mapcheck:allow panic string on the misuse error path, never on a successful trial
-		panic("schedule: SwapSession.Commit without a pending TrySwap")
-	}
-	s.CommitSwap(s.lastK, s.lastL, s.lastTotal)
 }
 
 // CommitSwap accepts the swap of clusters k and l whose exact total time
@@ -214,7 +199,6 @@ func (s *SwapSession) Commit() {
 func (s *SwapSession) CommitSwap(k, l, total int) {
 	s.lanes.commitSwap(k, l)
 	s.total = total
-	s.pending = false
 	if k == l {
 		return
 	}
@@ -245,7 +229,6 @@ func samePair(a, b, c, d int) bool {
 func (s *SwapSession) CommitAssign(procOf []int, total int) {
 	s.lanes.commitAssign(procOf)
 	s.total = total
-	s.pending = false
 	s.chainOK, s.adopt = false, adoptNone
 	s.scalarSwap, s.lanesSwap = false, false
 }

@@ -97,13 +97,7 @@ func (an *Anneal) refine(ctx context.Context, sess *schedule.SwapSession, b Budg
 			i, j := schedule.RandSwapPair(rng, len(free))
 			total := sess.TrySwap(free[i], free[j])
 			tr.Trials++
-			if b.RecordTrials {
-				tr.Totals = append(tr.Totals, total)
-			}
-			if !b.DisableTermination && total == b.LowerBound {
-				tr.Improved++
-				tr.Final = total
-				tr.AtBound = true
+			if tr.priced(&b, total) {
 				sess.CommitSwap(free[i], free[j], total)
 				return tr
 			}
@@ -141,13 +135,7 @@ func (an *Anneal) refine(ctx context.Context, sess *schedule.SwapSession, b Budg
 			break
 		}
 		tr.Trials++
-		if b.RecordTrials {
-			tr.Totals = append(tr.Totals, total)
-		}
-		if !b.DisableTermination && total == b.LowerBound {
-			tr.Improved++
-			tr.Final = total
-			tr.AtBound = true
+		if tr.priced(&b, total) {
 			sess.CommitSwap(k, l, total)
 			return tr
 		}

@@ -18,15 +18,10 @@ import (
 // procedure lives in internal/baseline for the §2.2 comparisons.
 //
 // Descent sweeps ride the session's batch kernel via the Pairwise refiner;
-// each jump costs one whole-assignment evaluation.
-type Bokhari struct {
-	// Jumps is the number of probabilistic jumps after local optima.
-	// 0 means 2× the number of movable clusters.
-	Jumps int
-	// JumpSwaps is how many random swaps one jump applies. 0 means a
-	// quarter of the movable clusters, minimum 1.
-	JumpSwaps int
-}
+// each jump costs one whole-assignment evaluation. A run makes twice as
+// many jumps as there are movable clusters, each a burst of a quarter of
+// them (at least one) random swaps.
+type Bokhari struct{}
 
 // Name implements Refiner.
 func (*Bokhari) Name() string { return "bokhari" }
@@ -34,24 +29,16 @@ func (*Bokhari) Name() string { return "bokhari" }
 // Refine implements Refiner.
 //
 //mapcheck:noalloc
-func (bo *Bokhari) Refine(ctx context.Context, sess *schedule.SwapSession, b Budget, rng *rand.Rand) Trace {
+func (*Bokhari) Refine(ctx context.Context, sess *schedule.SwapSession, b Budget, rng *rand.Rand) Trace {
 	tr := Trace{Final: sess.TotalTime()}
 	//mapcheck:allow per-run free-cluster list, amortized over the trial budget
-	free := b.free(sess)
+	b.Free = b.free(sess)
+	free := b.Free
 	if len(free) < 2 || b.Trials <= 0 {
 		return tr
 	}
-	jumps := bo.Jumps
-	if jumps == 0 {
-		jumps = 2 * len(free)
-	}
-	jumpSwaps := bo.JumpSwaps
-	if jumpSwaps == 0 {
-		jumpSwaps = len(free) / 4
-	}
-	if jumpSwaps < 1 {
-		jumpSwaps = 1
-	}
+	jumps := 2 * len(free)
+	jumpSwaps := max(len(free)/4, 1)
 	bestTotal := sess.TotalTime()
 	//mapcheck:allow per-run best-assignment scratch, amortized over the trial budget
 	bestProc := make([]int, sess.K())
@@ -59,15 +46,8 @@ func (bo *Bokhari) Refine(ctx context.Context, sess *schedule.SwapSession, b Bud
 	//mapcheck:allow per-run jump scratch, amortized over the trial budget
 	scratch := make([]int, sess.K())
 
-	descend := Pairwise{}
 	for jump := 0; jump <= jumps; jump++ {
-		sub := descend.Refine(ctx, sess, Budget{
-			Trials:             b.Trials - tr.Trials,
-			Free:               free,
-			LowerBound:         b.LowerBound,
-			DisableTermination: b.DisableTermination,
-			RecordTrials:       b.RecordTrials,
-		}, rng)
+		sub := Pairwise{}.Refine(ctx, sess, b.slice(b.Trials-tr.Trials), rng)
 		tr.Trials += sub.Trials
 		tr.Improved += sub.Improved // the descent's incumbent-lowering trials
 		if b.RecordTrials {
@@ -94,14 +74,8 @@ func (bo *Bokhari) Refine(ctx context.Context, sess *schedule.SwapSession, b Bud
 		}
 		total := sess.TryAssign(scratch)
 		tr.Trials++
-		if b.RecordTrials {
-			tr.Totals = append(tr.Totals, total)
-		}
-		if !b.DisableTermination && total == b.LowerBound {
-			tr.Improved++
+		if tr.priced(&b, total) {
 			sess.CommitAssign(scratch, total)
-			tr.Final = total
-			tr.AtBound = true
 			return tr
 		}
 		if total < sess.TotalTime() {

@@ -66,13 +66,7 @@ func (p Pairwise) Refine(ctx context.Context, sess *schedule.SwapSession, b Budg
 			for idx := 0; idx < n; idx++ {
 				total := totals[idx]
 				tr.Trials += skip[idx] + 1
-				if b.RecordTrials {
-					tr.Totals = append(tr.Totals, total)
-				}
-				if !b.DisableTermination && total == b.LowerBound {
-					tr.Improved++
-					tr.Final = total
-					tr.AtBound = true
+				if tr.priced(&b, total) {
 					sess.CommitSwap(ks[idx], ls[idx], total)
 					return true
 				}

@@ -58,13 +58,7 @@ func (Paper) refine(ctx context.Context, sess *schedule.SwapSession, b Budget, r
 		if cert {
 			continue // cannot improve: rejected unpriced
 		}
-		if b.RecordTrials {
-			tr.Totals = append(tr.Totals, total)
-		}
-		if !b.DisableTermination && total == b.LowerBound {
-			tr.Improved++
-			tr.Final = total
-			tr.AtBound = true
+		if tr.priced(&b, total) {
 			sess.CommitSwap(k, l, total)
 			return tr
 		}
@@ -116,13 +110,7 @@ func (FullReshuffle) Refine(ctx context.Context, sess *schedule.SwapSession, b B
 			trial[k] = procs[perm[i]]
 		}
 		total := sess.TryAssign(trial)
-		if b.RecordTrials {
-			tr.Totals = append(tr.Totals, total)
-		}
-		if !b.DisableTermination && total == b.LowerBound {
-			tr.Improved++
-			tr.Final = total
-			tr.AtBound = true
+		if tr.priced(&b, total) {
 			sess.CommitAssign(trial, total)
 			return tr
 		}

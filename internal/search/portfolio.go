@@ -27,26 +27,26 @@ import (
 // elite incumbents only at round barriers, which keeps results independent
 // of Options.Workers.
 
-// DefaultPortfolioArms is the arm set a portfolio races when neither
-// Portfolio.Arms nor Budget.Arms names one. The order is the deterministic
-// first-exploration order; "paper" leads so that degenerate single-round
-// budgets reduce to the mapper's canonical refinement.
+// DefaultPortfolioArms is the arm set a portfolio races when Budget.Arms
+// names none. The order is the deterministic first-exploration order;
+// "paper" leads so that degenerate single-round budgets reduce to the
+// mapper's canonical refinement.
 var DefaultPortfolioArms = []string{"paper", "pairwise", "bokhari", "anneal", "full-reshuffle"}
 
 const (
 	// defaultPortfolioRounds is the budget-slice count when Budget.Rounds
-	// and Portfolio.Rounds are both zero.
+	// is zero.
 	defaultPortfolioRounds = 16
 	// minRoundTrials caps the round count on small budgets: a round shorter
 	// than this prices too few candidates to produce a usable reward signal
 	// (and a budget below it degenerates to a single round of arm 0).
 	minRoundTrials = 32
-	// defaultExplore is the UCB1 exploration coefficient over normalised
-	// rewards; defaultDiscount geometrically ages rewards and play counts
+	// portfolioExplore is the UCB1 exploration coefficient over normalised
+	// rewards; portfolioDiscount geometrically ages rewards and play counts
 	// each round so the bandit tracks the non-stationary improvement rate
 	// (early rounds improve easily, late rounds rarely).
-	defaultExplore  = 0.25
-	defaultDiscount = 0.85
+	portfolioExplore  = 0.25
+	portfolioDiscount = 0.85
 )
 
 // ArmStats reports one portfolio arm's share of a run: how many rounds it
@@ -100,25 +100,13 @@ type ChainState interface {
 	Finish() Trace
 }
 
-// Portfolio is the adaptive portfolio refiner. The zero value races
-// DefaultPortfolioArms over defaultPortfolioRounds rounds; Budget.Arms and
-// Budget.Rounds override per run, the struct fields override the defaults
-// per instance.
-type Portfolio struct {
-	// Arms names the strategies to race (nil = DefaultPortfolioArms).
-	// Entries naming the portfolio itself or unregistered strategies are
-	// skipped (callers validate upstream; see core.Options.PortfolioArms).
-	Arms []string
-	// Rounds is the number of budget slices (0 = defaultPortfolioRounds).
-	// Small budgets use fewer rounds so each slice prices at least
-	// minRoundTrials candidates.
-	Rounds int
-	// Explore is the UCB1 exploration coefficient (0 = defaultExplore).
-	Explore float64
-	// Discount is the per-round reward aging factor in (0,1]
-	// (0 = defaultDiscount).
-	Discount float64
-}
+// Portfolio is the adaptive portfolio refiner. It races the strategies
+// Budget.Arms names (nil = DefaultPortfolioArms; entries naming the
+// portfolio itself or unregistered strategies are skipped, callers validate
+// upstream, see core.Options.PortfolioArms) over Budget.Rounds budget
+// slices (0 = defaultPortfolioRounds). Small budgets use fewer rounds so
+// each slice prices at least minRoundTrials candidates.
+type Portfolio struct{}
 
 // Name implements Refiner.
 func (*Portfolio) Name() string { return "portfolio" }
@@ -137,11 +125,8 @@ func (p *Portfolio) Refine(ctx context.Context, sess *schedule.SwapSession, b Bu
 }
 
 // NewChainState implements RoundRefiner.
-func (p *Portfolio) NewChainState(sess *schedule.SwapSession, b Budget, rng *rand.Rand) ChainState {
+func (*Portfolio) NewChainState(sess *schedule.SwapSession, b Budget, rng *rand.Rand) ChainState {
 	names := b.Arms
-	if len(names) == 0 {
-		names = p.Arms
-	}
 	if len(names) == 0 {
 		names = DefaultPortfolioArms
 	}
@@ -153,9 +138,6 @@ func (p *Portfolio) NewChainState(sess *schedule.SwapSession, b Budget, rng *ran
 	}
 	rounds := b.Rounds
 	if rounds <= 0 {
-		rounds = p.Rounds
-	}
-	if rounds <= 0 {
 		rounds = defaultPortfolioRounds
 	}
 	if cap := b.Trials / minRoundTrials; rounds > cap {
@@ -164,31 +146,20 @@ func (p *Portfolio) NewChainState(sess *schedule.SwapSession, b Budget, rng *ran
 	if rounds < 1 {
 		rounds = 1
 	}
-	explore := p.Explore
-	if explore == 0 {
-		explore = defaultExplore
-	}
-	discount := p.Discount
-	if discount <= 0 || discount > 1 {
-		discount = defaultDiscount
-	}
-	free := b.free(sess)
+	b.Free = b.free(sess)
+	b.FreeProcs = b.freeProcs(sess, b.Free)
 	c := &portfolioChain{
 		sess:      sess,
 		budget:    b,
 		rng:       rng,
 		arms:      arms,
 		rounds:    rounds,
-		explore:   explore,
-		discount:  discount,
-		free:      free,
-		freeProcs: b.freeProcs(sess, free),
 		initial:   sess.TotalTime(),
 		bestTotal: sess.TotalTime(),
 		bestProc:  make([]int, sess.K()),
 	}
 	copy(c.bestProc, sess.ProcOf())
-	if b.Trials <= 0 || len(free) < 2 {
+	if b.Trials <= 0 || len(b.Free) < 2 {
 		c.done = true
 	}
 	return c
@@ -225,17 +196,14 @@ type portfolioArm struct {
 	discN    float64
 }
 
-// portfolioChain implements ChainState.
+// portfolioChain implements ChainState. Its budget holds the resolved free
+// lists every round's slice shares.
 type portfolioChain struct {
-	sess      *schedule.SwapSession
-	budget    Budget
-	rng       *rand.Rand
-	arms      []portfolioArm
-	rounds    int
-	explore   float64
-	discount  float64
-	free      []int
-	freeProcs []int
+	sess   *schedule.SwapSession
+	budget Budget
+	rng    *rand.Rand
+	arms   []portfolioArm
+	rounds int
 
 	initial   int
 	bestTotal int
@@ -276,8 +244,8 @@ func (c *portfolioChain) RunRound(ctx context.Context, elite *Elite) bool {
 	// Age every arm's reward before selecting, so the bandit tracks the
 	// non-stationary improvement rate instead of early-round glory.
 	for i := range c.arms {
-		c.arms[i].discR *= c.discount
-		c.arms[i].discN *= c.discount
+		c.arms[i].discR *= portfolioDiscount
+		c.arms[i].discN *= portfolioDiscount
 	}
 	arm := c.pickArm()
 	remaining := c.budget.Trials - c.spent
@@ -287,14 +255,7 @@ func (c *portfolioChain) RunRound(ctx context.Context, elite *Elite) bool {
 	}
 	slice := (remaining + roundsLeft - 1) / roundsLeft
 	before := c.sess.TotalTime()
-	sub := arm.ref.Refine(ctx, c.sess, Budget{
-		Trials:             slice,
-		Free:               c.free,
-		FreeProcs:          c.freeProcs,
-		LowerBound:         c.budget.LowerBound,
-		DisableTermination: c.budget.DisableTermination,
-		RecordTrials:       c.budget.RecordTrials,
-	}, c.rng)
+	sub := arm.ref.Refine(ctx, c.sess, c.budget.slice(slice), c.rng)
 	c.round++
 	c.spent += sub.Trials
 	c.tr.Improved += sub.Improved
@@ -356,7 +317,7 @@ func (c *portfolioChain) pickArm() *portfolioArm {
 		if maxMean > 0 {
 			norm = a.discR / a.discN / maxMean
 		}
-		if idx := norm + c.explore*math.Sqrt(lnN/a.discN); idx > bestIdx {
+		if idx := norm + portfolioExplore*math.Sqrt(lnN/a.discN); idx > bestIdx {
 			best, bestIdx = i, idx
 		}
 	}

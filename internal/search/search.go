@@ -81,6 +81,15 @@ func (b *Budget) freeProcs(sess *schedule.SwapSession, free []int) []int {
 	return procs
 }
 
+// slice narrows b to a sub-run of at most trials trials, keeping every
+// other field. Strategies built from other strategies (the portfolio's
+// rounds, Bokhari's descents) store their resolved free lists in b first,
+// so no sub-run resolves them again.
+func (b Budget) slice(trials int) Budget {
+	b.Trials = trials
+	return b
+}
+
 // Trace reports what one refinement run did. The refined assignment itself
 // lives in the session: after Refine returns, the session's committed
 // incumbent is the best assignment the strategy chose to keep, and its
@@ -107,6 +116,27 @@ type Trace struct {
 	// WinningArm names the portfolio arm whose round produced Final ("" for
 	// plain refiners, or when no round improved the starting incumbent).
 	WinningArm string
+}
+
+// priced is the shared step of every strategy's trial loop, after a trial
+// has been priced at total: it records total when b.RecordTrials is set
+// and reports whether total reaches the lower bound with termination on
+// (Theorem 3). On a hit the trace ends at the bound, the trial counted as
+// an improvement; the caller commits the trial and returns.
+//
+//mapcheck:noalloc
+func (tr *Trace) priced(b *Budget, total int) bool {
+	if b.RecordTrials {
+		//mapcheck:allow convergence-trace append, only when Budget.RecordTrials is set
+		tr.Totals = append(tr.Totals, total)
+	}
+	if b.DisableTermination || total != b.LowerBound {
+		return false
+	}
+	tr.Improved++
+	tr.Final = total
+	tr.AtBound = true
+	return true
 }
 
 // Refiner is one local-search strategy over cluster→processor assignments.

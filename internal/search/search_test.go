@@ -314,7 +314,7 @@ func TestRefinersContract(t *testing.T) {
 // TestRefinersTerminateAtBound pins the lower-bound early exit: on an
 // instance whose bound is attainable, every strategy that reaches it must
 // stop and report AtBound with the session committed on a bound-meeting
-// assignment.
+// assignment, also while every trial's total is recorded.
 func TestRefinersTerminateAtBound(t *testing.T) {
 	// A chain problem on a chain machine: identity placement meets the
 	// bound, and any start is a few swaps away from it.
@@ -339,20 +339,33 @@ func TestRefinersTerminateAtBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		found := false
-		for seed := int64(1); seed <= 20 && !found; seed++ {
-			start := schedule.FromPerm(rand.New(rand.NewSource(seed)).Perm(6))
-			sess := ev.NewSwapSession(start)
-			tr := r.Refine(context.Background(), sess, Budget{Trials: 5000, LowerBound: bound}, rand.New(rand.NewSource(seed)))
-			if tr.AtBound {
+		// With totals recorded, every trial leaves one total, and a run
+		// ending at the bound ends on the improving trial that reached it.
+		for _, record := range []bool{false, true} {
+			found := false
+			for seed := int64(1); seed <= 20; seed++ {
+				start := schedule.FromPerm(rand.New(rand.NewSource(seed)).Perm(6))
+				sess := ev.NewSwapSession(start)
+				b := Budget{Trials: 5000, LowerBound: bound, RecordTrials: record}
+				tr := r.Refine(context.Background(), sess, b, rand.New(rand.NewSource(seed)))
+				if record && len(tr.Totals) != tr.Trials {
+					t.Fatalf("%s seed %d: recorded %d totals for %d trials", name, seed, len(tr.Totals), tr.Trials)
+				}
+				if !tr.AtBound {
+					continue
+				}
 				found = true
 				if tr.Final != bound || sess.TotalTime() != bound {
-					t.Fatalf("%s: AtBound with final %d, session %d, bound %d", name, tr.Final, sess.TotalTime(), bound)
+					t.Fatalf("%s seed %d: AtBound with final %d, session %d, bound %d", name, seed, tr.Final, sess.TotalTime(), bound)
+				}
+				if record && (tr.Totals[len(tr.Totals)-1] != bound || tr.Improved < 1) {
+					t.Fatalf("%s seed %d: AtBound with last total %d (bound %d) and %d improving trials",
+						name, seed, tr.Totals[len(tr.Totals)-1], bound, tr.Improved)
 				}
 			}
-		}
-		if !found {
-			t.Fatalf("%s never reached the attainable bound %d in 20 seeded runs", name, bound)
+			if !found {
+				t.Fatalf("%s (record %v) never reached the attainable bound %d in 20 seeded runs", name, record, bound)
+			}
 		}
 	}
 }

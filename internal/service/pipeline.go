@@ -173,8 +173,9 @@ func (st *solveState) canonicalize(context.Context) error {
 // absent — SolveBatch and multi-start output are worker-count independent,
 // so concurrency knobs must not split cache entries.
 func canonicalKey(req *Request, seed int64) string {
-	// v2: the fingerprint gained the Options.Incumbent fold below — the
-	// domain tag is bumped per the stability contract in graph/fingerprint.go.
+	// v3: the fingerprint gained the Options.PortfolioRounds and
+	// PortfolioArms folds below (v2 added Options.Incumbent) — the domain
+	// tag is bumped per the stability contract in graph/fingerprint.go.
 	h := graph.NewHasher("mimdmap/request/v3")
 	h.Fold(req.Problem.Fingerprint())
 	if req.System != nil {
