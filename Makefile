@@ -54,7 +54,8 @@ bench:
 
 # Fast benchmark gate for CI: the refinement-kernel benchmarks
 # (BenchmarkSwapKernel, batched trials on the five Table 1–3 machines, the
-# large-cold shape and a narrow pipelines one; BenchmarkRefineTotalTime and
+# large-cold shape and a narrow pipelines one; BenchmarkSwapScalar, the same
+# trials one TrySwap each; BenchmarkRefineTotalTime and
 # BenchmarkRefineEvaluateInto, the scalar paths) and the search-strategy
 # benchmark (BenchmarkRefiners: every registered refiner, portfolio
 # included, on three of those machines) at a short benchtime, so none can
@@ -65,7 +66,7 @@ bench:
 # portfolio run smokes the multi-start lockstep path (elite exchange across
 # chains), which the single-chain BenchmarkRefiners cannot reach.
 bench-smoke:
-	$(GO) test -bench 'SwapKernel|RefineTotalTime|RefineEvaluateInto' -benchtime 10x -run '^$$' ./internal/schedule/
+	$(GO) test -bench 'SwapKernel|SwapScalar|RefineTotalTime|RefineEvaluateInto' -benchtime 10x -run '^$$' ./internal/schedule/
 	$(GO) test -run '^$$' -bench Refiners -benchtime 64x ./internal/search/
 	$(GO) test -bench 'SearchHeavy|ColdMapLarge' -benchtime 2x -run '^$$' .
 	$(GO) run ./cmd/mapbench -table 1 -refiner portfolio -starts 4 -trials 2 > /dev/null

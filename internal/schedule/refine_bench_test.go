@@ -30,50 +30,66 @@ func benchInstance(tb testing.TB, sys *graph.System, seed int64) (*Evaluator, *A
 
 var refineBenchSink int
 
-// BenchmarkSwapKernel measures what a priced trial costs: batches of
-// random pairs of a fixed incumbent, each batch one evaluation pass, as the
-// refinement loop prices them. b.N counts trials. The shapes are the five refine machines, the large-cold shape
-// (np=2000 random DAG on mesh-8x16 under random clustering) and a narrow
-// one: 256 independent 4-task pipelines on mesh-8x16, whose swaps each
-// touch only a few chains.
+// BenchmarkSwapKernel measures what a priced trial costs in the batch
+// kernel: batches of random pairs of a fixed incumbent, each batch one
+// evaluation pass, as the refinement loop prices them, on each of
+// benchShapes' shapes. b.N counts trials.
 func BenchmarkSwapKernel(b *testing.B) {
-	for _, sys := range refineMachines() {
-		b.Run(sys.Name, func(b *testing.B) {
-			e, a := benchInstance(b, sys, 1991)
-			benchKernel(b, e, a)
+	benchShapes(b, func(b *testing.B, sess *SwapSession, rng *rand.Rand, k int) {
+		var ks, ls, totals [SwapLanes]int
+		for t := 0; t < b.N; t += SwapLanes {
+			for l := 0; l < SwapLanes; l++ {
+				ks[l], ls[l] = RandSwapPair(rng, k)
+			}
+			sess.TrySwapBatch(&ks, &ls, &totals)
+			refineBenchSink += totals[0] + totals[SwapLanes-1]
+		}
+	})
+}
+
+// BenchmarkSwapScalar is BenchmarkSwapKernel's scalar companion: the same
+// random pairs on the same shapes, one TrySwap pass per trial. The ratio of
+// a batch (SwapLanes trials of BenchmarkSwapKernel) to one scalar trial is
+// the cost basis of the trial queue's choice between them.
+func BenchmarkSwapScalar(b *testing.B) {
+	benchShapes(b, func(b *testing.B, sess *SwapSession, rng *rand.Rand, k int) {
+		for t := 0; t < b.N; t++ {
+			refineBenchSink += sess.TrySwap(RandSwapPair(rng, k))
+		}
+	})
+}
+
+// benchShapes runs price on a fresh session of each of the swap
+// benchmarks' shapes: the five refine machines, the large-cold shape
+// (np=2000 random DAG on mesh-8x16 under random clustering) and a narrow
+// one, 256 independent 4-task pipelines on mesh-8x16, whose swaps each
+// touch only a few chains. price draws its pairs from rng over the k
+// clusters.
+func benchShapes(b *testing.B, price func(b *testing.B, sess *SwapSession, rng *rand.Rand, k int)) {
+	run := func(name string, build func(testing.TB) (*Evaluator, *Assignment)) {
+		b.Run(name, func(b *testing.B) {
+			e, a := build(b)
+			sess := e.NewSwapSession(a)
+			rng := rand.New(rand.NewSource(7))
+			b.ReportAllocs()
+			b.ResetTimer()
+			price(b, sess, rng, a.K())
 		})
 	}
-	b.Run("large-cold", func(b *testing.B) {
-		e, a := largeColdInstance(b)
-		benchKernel(b, e, a)
-	})
-	b.Run("pipelines", func(b *testing.B) {
+	for _, sys := range refineMachines() {
+		run(sys.Name, func(tb testing.TB) (*Evaluator, *Assignment) { return benchInstance(tb, sys, 1991) })
+	}
+	run("large-cold", largeColdInstance)
+	run("pipelines", func(tb testing.TB) (*Evaluator, *Assignment) {
 		rng := rand.New(rand.NewSource(1991))
 		sys := topology.Mesh(8, 16)
 		p, c := pipelines(256, 4, sys.NumNodes(), rng)
 		e, err := NewEvaluator(p, c, paths.New(sys))
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		benchKernel(b, e, FromPerm(rng.Perm(sys.NumNodes())))
+		return e, FromPerm(rng.Perm(sys.NumNodes()))
 	})
-}
-
-// benchKernel prices batches of random swaps of a.
-func benchKernel(b *testing.B, e *Evaluator, a *Assignment) {
-	k := a.K()
-	rng := rand.New(rand.NewSource(7))
-	sess := e.NewSwapSession(a)
-	var ks, ls, totals [SwapLanes]int
-	b.ReportAllocs()
-	b.ResetTimer()
-	for t := 0; t < b.N; t += SwapLanes {
-		for l := 0; l < SwapLanes; l++ {
-			ks[l], ls[l] = RandSwapPair(rng, k)
-		}
-		sess.TrySwapBatch(&ks, &ls, &totals)
-		refineBenchSink += totals[0] + totals[SwapLanes-1]
-	}
 }
 
 // largeColdInstance is the large-cold workload's shape: an np=2000 random

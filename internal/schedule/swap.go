@@ -246,8 +246,9 @@ func (s *SwapSession) TrySwapBatch(ks, ls *[SwapLanes]int, totals *[SwapLanes]in
 	s.lanesSwap, s.adopt = true, adoptNone
 }
 
-// fullSwapBatch is the batch kernel: one interleaved topological pass pricing all SwapLanes lanes, each edge record loaded
-// once for all eight. The lane views must be synced first.
+// fullSwapBatch is the batch kernel: one interleaved topological pass
+// pricing all SwapLanes lanes, each edge record loaded once for all eight.
+// The lane views must be synced first.
 //
 //mapcheck:noalloc
 func (s *SwapSession) fullSwapBatch(totals *[SwapLanes]int) {

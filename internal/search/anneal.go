@@ -21,8 +21,8 @@ import (
 // differs from a scalar draw-evaluate-accept loop by construction —
 // annealing has no pinned legacy stream to preserve. Annealing accepts most
 // trials, and an accept discards the totals of every candidate behind it,
-// so the queue mostly prices the first trial after an accept alone rather
-// than paying for a batch whose other lanes would be thrown away.
+// so its commits come a few trials apart and the queue prices them alone
+// rather than paying for a batch whose other lanes would be thrown away.
 type Anneal struct {
 	// InitialTemp is the starting temperature. 0 calibrates it from a short
 	// probe walk so roughly 80% of uphill moves are initially accepted.

@@ -15,10 +15,10 @@ import (
 // Trials come from the shared draw-ahead queue (trialQueue) in certify
 // mode: a candidate swap that the session's critical-chain certificate
 // proves cannot lower the total is rejected without pricing, and the rest
-// are priced lazily, almost always as one interleaved batch because almost
-// every trial is a rejected perturbation of the same incumbent. Trials
-// still resolve strictly in draw order against the incumbent they would
-// have seen sequentially — after an accept, the unresolved candidates are
+// are priced lazily: in one interleaved batch while commits are rare, and
+// alone while they come less than half a batch apart. Trials still
+// resolve strictly in draw order against the incumbent they would have
+// seen sequentially — after an accept, the unresolved candidates are
 // certified or priced again against the new incumbent — so results are
 // bit-identical to trial-at-a-time refinement, including the random stream
 // (drawing consumes rng in draw order; certifying and pricing consume

@@ -23,15 +23,18 @@ const queueCap = 64
 //
 // Pricing is lazy: an entry is priced only when the refiner reaches it,
 // either alone through TrySwap or together with up to SwapLanes-1 other
-// unresolved entries through TrySwapBatch. A batch prices eight lanes for
-// much less than eight scalar passes, which pays when most of them are
-// resolved — a refiner that rejects most trials — and is wasted when an
-// accept discards the lanes behind it. The queue chooses from the
-// refiner's own outcomes: the first trial after a commit is priced alone
-// iff the previous first-after-commit trial was accepted, and every other
-// unpriced entry is priced in one batch with the unpriced entries behind
-// it. Every kernel is exact and pricing consumes no randomness, so the
-// choice changes only the cost, never a total or a draw.
+// unresolved entries through TrySwapBatch. A batch costs about SwapLanes/2
+// scalar passes (BenchmarkSwapKernel against BenchmarkSwapScalar: medians
+// of 3.5–5.0 on its seven shapes), and a commit throws away every lane
+// behind the accepted one, so a batch pays only when about SwapLanes/2 of
+// its lanes are handed out before the next commit. The queue reads that
+// yield from the refiner's recent commits: it prices the head entry alone
+// while fewer than SwapLanes/2 priced trials were handed out since the
+// last commit and fewer than SwapLanes/2 lay between the last two, and
+// otherwise prices it in one batch with the unpriced entries behind it. A
+// new queue batches. Every kernel is exact and pricing consumes no
+// randomness, so the choice changes only the cost, never a total or a
+// draw.
 //
 // In certify mode (Paper, whose test is strict improvement) the queue
 // also asks the session's critical-chain certificate about every entry,
@@ -59,8 +62,8 @@ type trialQueue struct {
 	head, n        int
 	stale          bool // a commit (or the start) outdated every queued state
 
-	handed int  // trials handed out since the last commit (or the start)
-	solo   bool // price the first trial after a commit alone
+	since int // priced trials handed out since the last commit
+	gap   int // priced trials between the last two commits; SwapLanes/2 at the start
 
 	stats queueStats
 }
@@ -91,7 +94,8 @@ type queueStats struct {
 // drawing from rng until drawn (the candidates already charged to the
 // budget) reaches limit, in certify mode if certify is set.
 func newTrialQueue(sess *schedule.SwapSession, free []int, rng *rand.Rand, limit, drawn int, certify bool) trialQueue {
-	return trialQueue{sess: sess, free: free, rng: rng, limit: limit, drawn: drawn, certify: certify, stale: true}
+	return trialQueue{sess: sess, free: free, rng: rng, limit: limit, drawn: drawn, certify: certify, stale: true,
+		gap: schedule.SwapLanes / 2}
 }
 
 // certifies reports whether a refiner whose acceptance test is strict
@@ -122,12 +126,12 @@ func (q *trialQueue) next(ctx context.Context) (k, l, total int, cert, ok bool) 
 		q.price()
 	}
 	q.head++
-	q.handed++
 	q.stats.resolved++
 	if q.state[h] == certified {
 		q.stats.certified++
 		return q.ks[h], q.ls[h], 0, true, true
 	}
+	q.since++
 	if q.stats.lastLanes == schedule.SwapLanes {
 		q.stats.fromFull++
 	}
@@ -184,9 +188,9 @@ func (q *trialQueue) classify(k, l int) entryState {
 	return unpriced
 }
 
-// price prices the head entry: alone when it is the first trial after a
-// commit that follows an accepted first trial, or when it is the last
-// unpriced entry; otherwise together with up to SwapLanes-1 unpriced
+// price prices the head entry: alone while the recent commits say fewer
+// than SwapLanes/2 lanes of a batch would be handed out, or when it is the
+// last unpriced entry; otherwise together with up to SwapLanes-1 unpriced
 // entries behind it, the padding lanes duplicating the head pair.
 //
 //mapcheck:noalloc
@@ -201,7 +205,7 @@ func (q *trialQueue) price() {
 		}
 	}
 	h := q.head
-	if (q.handed == 0 && q.solo) || lanes == 1 {
+	if max(q.gap, q.since) < schedule.SwapLanes/2 || lanes == 1 {
 		q.totals[h] = q.sess.TrySwap(q.ks[h], q.ls[h])
 		q.state[h] = priced
 		q.stats.solos++
@@ -223,9 +227,9 @@ func (q *trialQueue) price() {
 
 // commit accepts the trial (k, l) just handed out, whose exact total the
 // queue priced: the session commits it, the queued states go stale, and
-// the queue resolves them again before the next trial. The first trial
-// after this commit is priced alone iff the accepted trial was itself the
-// first after the previous commit.
+// the queue resolves them again before the next trial. The priced trials
+// handed out since the previous commit, this one included, become the gap
+// that price weighs against SwapLanes/2.
 //
 //mapcheck:noalloc
 func (q *trialQueue) commit(k, l, total int) {
@@ -235,7 +239,6 @@ func (q *trialQueue) commit(k, l, total int) {
 			q.stats.discarded++
 		}
 	}
-	q.solo = q.handed == 1
-	q.handed = 0
+	q.gap, q.since = q.since, 0
 	q.stale = true
 }

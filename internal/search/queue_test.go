@@ -8,7 +8,10 @@ import (
 	"slices"
 	"testing"
 
+	"mimdmap/internal/cluster"
+	"mimdmap/internal/gen"
 	"mimdmap/internal/graph"
+	"mimdmap/internal/paths"
 	"mimdmap/internal/schedule"
 	"mimdmap/internal/topology"
 )
@@ -342,8 +345,10 @@ func TestLazyPricingMatchesBatchedReference(t *testing.T) {
 
 // TestQueuePricesOnlyLanesItResolves is the lane accounting: a refiner
 // that accepts almost every trial must not pay for batches whose other
-// lanes an accept throws away, and a refiner that rejects almost every
-// trial must keep pricing through the 8-lane batch kernel.
+// lanes an accept throws away, a refiner that rejects almost every trial
+// must keep pricing through the 8-lane batch kernel, and a paper run that
+// accepts more than a quarter of its priced trials must not price mostly
+// lanes that its commits discard.
 func TestQueuePricesOnlyLanesItResolves(t *testing.T) {
 	ev, start := instance(t, topology.Mesh(5, 8), 1991)
 	b := Budget{Trials: 2000, LowerBound: 1, DisableTermination: true}
@@ -378,6 +383,53 @@ func TestQueuePricesOnlyLanesItResolves(t *testing.T) {
 	if q.stats.lanes != priced+q.stats.discarded {
 		t.Errorf("paper refinement priced %d lanes for %d priced trials and %d discarded totals", q.stats.lanes, priced, q.stats.discarded)
 	}
+
+	// The large-cold shape with its 128-trial budget: more than a quarter
+	// of the priced trials are accepted, so a batch after most commits
+	// would price lanes the next commit throws away.
+	ev, start = largeColdInstance(t)
+	var sum queueStats
+	priced = 0
+	for seed := int64(1); seed <= 20; seed++ {
+		Paper{}.refine(context.Background(), ev.NewSwapSession(start), Budget{Trials: 128, LowerBound: 1}, rand.New(rand.NewSource(seed)), &q)
+		priced += q.stats.resolved - q.stats.certified
+		sum.batches += q.stats.batches
+		sum.solos += q.stats.solos
+		sum.lanes += q.stats.lanes
+		sum.discarded += q.stats.discarded
+	}
+	wasted := float64(sum.discarded) / float64(sum.lanes)
+	t.Logf("large-cold paper, 20 runs: %d priced trials, %d batches, %d solo, %d lanes, %d discarded (%.1f%%)",
+		priced, sum.batches, sum.solos, sum.lanes, sum.discarded, 100*wasted)
+	if wasted > 0.5 {
+		t.Errorf("high-acceptance paper refinement discarded %.1f%% of the lanes it priced, want ≤ 50%%", 100*wasted)
+	}
+}
+
+// largeColdInstance is the large-cold workload's shape: an np=2000 random
+// DAG (edge factor 3, sizes [1,20], weights [1,5]) on mesh-8x16 under
+// random clustering, with a random incumbent.
+func largeColdInstance(tb testing.TB) (*schedule.Evaluator, *schedule.Assignment) {
+	tb.Helper()
+	const np = 2000
+	rng := rand.New(rand.NewSource(1991))
+	p, err := gen.Random(gen.RandomConfig{
+		Tasks: np, EdgeProb: 3.0 / np, MinTaskSize: 1, MaxTaskSize: 20,
+		MinEdgeWeight: 1, MaxEdgeWeight: 5, Connected: true,
+	}, rng)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sys := topology.Mesh(8, 16)
+	c, err := (&cluster.Random{Rand: rng}).Cluster(p, sys.NumNodes())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	e, err := schedule.NewEvaluator(p, c, paths.New(sys))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return e, schedule.FromPerm(rng.Perm(sys.NumNodes()))
 }
 
 // TestCertifiedRefinersMatchUnrecorded pins the certificate's contract for
