@@ -112,21 +112,23 @@ func TestRandomMappingPanicsOnZeroTrials(t *testing.T) {
 func TestPairwiseExchangeDescends(t *testing.T) {
 	e := cardInstance(t)
 	start := schedule.FromPerm([]int{3, 1, 0, 2})
-	got, cost := pairwiseDescent(start, e.TotalTime)
+	got := start.Clone()
+	cost := descend(got, e.TotalTime)
 	if cost > e.TotalTime(start) {
 		t.Fatalf("exchange worsened: %d > %d", cost, e.TotalTime(start))
 	}
 	if e.TotalTime(got) != cost {
-		t.Fatal("returned cost does not match returned assignment")
+		t.Fatal("returned cost does not match the assignment left in place")
 	}
 	// 4-cluster instance: steepest descent must reach the global optimum 8
 	// from any start (the landscape is tiny).
 	if cost != 8 {
 		t.Fatalf("cost = %d, want 8", cost)
 	}
-	// Start must be untouched.
-	if !start.Equal(schedule.FromPerm([]int{3, 1, 0, 2})) {
-		t.Fatal("pairwiseDescent mutated its start")
+	// From a local optimum, descend changes nothing.
+	at := got.Clone()
+	if again := descend(got, e.TotalTime); again != cost || !got.Equal(at) {
+		t.Fatalf("descend from its own optimum moved to %v at %d, want %v at %d", got.ProcOf, again, at.ProcOf, cost)
 	}
 }
 

@@ -14,13 +14,10 @@
 // the paper's random-change refinement are registered strategies of
 // internal/search over a batched schedule.SwapSession, and
 // AnnealTotalTime only draws a random start and runs the "anneal" strategy
-// from it. What remains in this package are the
-// objectives that kernel does not price: cardinality (Bokhari,
-// MaxCardinality), which sweeps pairs through the batched
-// schedule.CardSession, and the Lee comm cost (MinCommCost), the one
-// scalar engine left, since its phased objective has no batched kernel.
-// Baseline comparisons thus measure strategy quality rather than
-// evaluator overhead.
+// from it. What remains in this package are the objectives that kernel
+// does not price: cardinality (Bokhari, MaxCardinality) and the Lee comm
+// cost (MinCommCost). All three run one scalar steepest-descent loop,
+// descend, which minimises negated cardinality or the comm cost in place.
 //
 // All searchers are deterministic given their *rand.Rand. Searchers that
 // need fresh random permutations reuse one assignment buffer via

@@ -79,50 +79,8 @@ func CommCost(e *schedule.Evaluator, phases [][]int, a *schedule.Assignment) int
 // cost via restarted pairwise exchange, and returns the best assignment and
 // its cost. §2.2 of the paper: this optimum need not minimise total time.
 func MinCommCost(e *schedule.Evaluator, restarts int, rng *rand.Rand) (*schedule.Assignment, int) {
-	if restarts <= 0 {
-		restarts = 1
-	}
 	phases := Phases(e)
-	var best *schedule.Assignment
-	bestCost := -1
-	for r := 0; r < restarts; r++ {
-		start := RandomAssignment(e.Clus.K, rng)
-		a, cost := pairwiseDescent(start, func(x *schedule.Assignment) int {
-			return CommCost(e, phases, x)
-		})
-		if bestCost == -1 || cost < bestCost {
-			best, bestCost = a, cost
-		}
-	}
-	return best, bestCost
-}
-
-// pairwiseDescent is steepest-descent pairwise exchange on an arbitrary
-// objective: evaluate every pair swap, apply the best strictly improving
-// one, and repeat until a local optimum. It returns the local optimum and
-// its objective value, and leaves start untouched. The phased comm cost
-// has no batched kernel, so this scalar loop is its engine; total-time
-// descent runs search.Pairwise over a SwapSession instead. It clones once,
-// at entry, and its sweeps reuse that buffer.
-func pairwiseDescent(start *schedule.Assignment, obj func(*schedule.Assignment) int) (*schedule.Assignment, int) {
-	cur := start.Clone()
-	curCost := obj(cur)
-	k := cur.K()
-	for {
-		bestI, bestJ, bestCost := -1, -1, curCost
-		for i := 0; i < k; i++ {
-			for j := i + 1; j < k; j++ {
-				cur.Swap(i, j)
-				if c := obj(cur); c < bestCost {
-					bestI, bestJ, bestCost = i, j, c
-				}
-				cur.Swap(i, j)
-			}
-		}
-		if bestI == -1 {
-			return cur, curCost // local optimum
-		}
-		cur.Swap(bestI, bestJ)
-		curCost = bestCost
-	}
+	return bestOfDescents(e.Clus.K, restarts, rng, func(a *schedule.Assignment) int {
+		return CommCost(e, phases, a)
+	})
 }

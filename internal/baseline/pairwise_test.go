@@ -11,7 +11,8 @@ import (
 )
 
 // Total-time pairwise exchange runs as search.Pairwise over a SwapSession;
-// the scalar descent in lee.go serves only the phased comm cost. These
+// the scalar descend in baseline.go serves only the cardinality and phased
+// comm-cost baselines. These
 // tests keep the pinning and round-bound checks of that total-time
 // exchange on the cardinality counterexample.
 

@@ -14,8 +14,7 @@ import (
 
 // NoAlloc turns the AllocsPerRun tests on the refinement hot path into a
 // compile-time gate. Functions marked //mapcheck:noalloc — the SwapSession
-// and CardSession kernels, the evaluator fill passes, the refiner inner
-// loops — are checked against the compiler's own escape analysis: mapcheck
+// kernels, the evaluator fill passes, the refiner inner loops — are checked against the compiler's own escape analysis: mapcheck
 // rebuilds the marked packages with -gcflags=-m and fails on any "escapes
 // to heap" / "moved to heap" diagnostic attributed to a marked function's
 // body, including its closures.

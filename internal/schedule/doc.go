@@ -46,8 +46,7 @@
 // critical chain (SwapSession.Certified); such trials need no pass at all.
 // It also offers whole-assignment pricing (TryAssign/CommitAssign) for
 // permutation moves, annealing restarts and jump perturbations. Every
-// search strategy in internal/search runs on a SwapSession, and
-// CardSession is its cardinality twin for the Bokhari baseline. See their
+// search strategy in internal/search runs on a SwapSession; see its
 // documentation for the protocol.
 //
 // A contention-aware evaluator (an extension beyond the paper, used only by

@@ -125,11 +125,11 @@ func TestIdentityBatchPricesIncumbent(t *testing.T) {
 	}
 }
 
-// TestLaneViewsSyncDegenerateLanes pins laneViews.sync's bookkeeping for
+// TestLaneViewsSyncDegenerateLanes pins syncLanes's bookkeeping for
 // degenerate draws: lanes with k == l, duplicate lanes, and repeated syncs
-// after commitSwap must leave procT exactly mirroring the incumbent with
-// each lane's swap applied — metamorphically checked against a freshly
-// rebuilt view of the same incumbent.
+// after CommitSwap must leave procT exactly mirroring the incumbent with
+// each lane's swap applied — metamorphically checked against the lane views
+// of a fresh session on the same incumbent.
 func TestLaneViewsSyncDegenerateLanes(t *testing.T) {
 	e, a := benchInstance(t, topology.Mesh(4, 4), 31)
 	k := a.K()
@@ -154,14 +154,14 @@ func TestLaneViewsSyncDegenerateLanes(t *testing.T) {
 				ks[l], ls[l] = RandSwapPair(rng, k)
 			}
 		}
-		sess.lanes.sync(&ks, &ls)
+		sess.syncLanes(&ks, &ls)
 
-		fresh := newLaneViews(sess.lanes.a)
-		fresh.sync(&ks, &ls)
+		fresh := e.NewSwapSession(FromPerm(sess.ProcOf()))
+		fresh.syncLanes(&ks, &ls)
 		for i, want := range fresh.procT {
-			if sess.lanes.procT[i] != want {
-				t.Fatalf("round %d: procT[%d] = %d after incremental sync, fresh rebuild says %d (lane %d, cluster %d)",
-					round, i, sess.lanes.procT[i], want, i%SwapLanes, i/SwapLanes)
+			if sess.procT[i] != want {
+				t.Fatalf("round %d: procT[%d] = %d after incremental sync, fresh session says %d (lane %d, cluster %d)",
+					round, i, sess.procT[i], want, i%SwapLanes, i/SwapLanes)
 			}
 		}
 		// Sometimes commit (forcing the dirty full-refresh path next sync),
@@ -171,7 +171,57 @@ func TestLaneViewsSyncDegenerateLanes(t *testing.T) {
 			if round%4 == 0 {
 				j = i // degenerate commit: swap of a cluster with itself
 			}
-			sess.lanes.commitSwap(i, j)
+			sess.CommitSwap(i, j, sess.TrySwap(i, j))
 		}
+	}
+}
+
+// TestSwapSessionTryAssign pins the whole-assignment trial path: TryAssign
+// prices any candidate exactly, leaves the incumbent untouched, and
+// CommitAssign adopts it.
+func TestSwapSessionTryAssign(t *testing.T) {
+	e, a := benchInstance(t, topology.Mesh(4, 4), 13)
+	k := a.K()
+	sess := e.NewSwapSession(a)
+	committed := sess.TotalTime()
+	check := e.Fork()
+
+	cand := FromPerm(rand.New(rand.NewSource(7)).Perm(k))
+	if got, want := sess.TryAssign(cand.ProcOf), check.TotalTime(cand); got != want {
+		t.Fatalf("TryAssign = %d, evaluator says %d", got, want)
+	}
+	if sess.TotalTime() != committed {
+		t.Fatal("TryAssign changed the committed total")
+	}
+	total := sess.TryAssign(cand.ProcOf)
+	sess.CommitAssign(cand.ProcOf, total)
+	if sess.TotalTime() != total {
+		t.Fatalf("committed total %d, want %d", sess.TotalTime(), total)
+	}
+	// Batch trials after CommitAssign must price swaps of the new incumbent.
+	var ks, ls, totals [SwapLanes]int
+	for l := 0; l < SwapLanes; l++ {
+		ks[l], ls[l] = l%k, (l+3)%k
+	}
+	sess.TrySwapBatch(&ks, &ls, &totals)
+	for l := 0; l < SwapLanes; l++ {
+		cand.Swap(ks[l], ls[l])
+		if want := check.TotalTime(cand); totals[l] != want {
+			t.Fatalf("lane %d after CommitAssign: total %d, want %d", l, totals[l], want)
+		}
+		cand.Swap(ks[l], ls[l])
+	}
+}
+
+// TestTryAssignZeroAllocs pins the whole-assignment trial contract.
+func TestTryAssignZeroAllocs(t *testing.T) {
+	e, a := benchInstance(t, topology.Mesh(4, 4), 7)
+	sess := e.NewSwapSession(a)
+	cand := a.Clone()
+	if allocs := testing.AllocsPerRun(200, func() {
+		refineBenchSink += sess.TryAssign(cand.ProcOf)
+		sess.CommitAssign(cand.ProcOf, 0)
+	}); allocs != 0 {
+		t.Fatalf("TryAssign+CommitAssign allocates %v objects per call, want 0", allocs)
 	}
 }

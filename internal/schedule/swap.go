@@ -1,69 +1,9 @@
 package schedule
 
-// SwapLanes is the width of the batched trial kernels (SwapSession.
-// TrySwapBatch, CardSession.TryCardBatch): how many candidate swaps one
-// interleaved evaluation pass prices at once.
+// SwapLanes is the width of the batched trial kernel (SwapSession.
+// TrySwapBatch): how many candidate swaps one interleaved evaluation pass
+// prices at once.
 const SwapLanes = 8
-
-// laneViews maintains the lane-major processor views shared by the batch
-// kernels: procT[c*SwapLanes+l] is the processor of cluster c in lane l,
-// where lane l is the committed incumbent with one candidate swap applied.
-// Keeping all SwapLanes views interleaved means a kernel loads each cluster
-// id once and reads the eight processors from one cache line.
-type laneViews struct {
-	a     *Assignment // committed incumbent (private copy)
-	procT []int       // lane-major processor views: procT[c*SwapLanes+l]
-	laneK [SwapLanes]int
-	laneL [SwapLanes]int
-	dirty bool // lane views no longer mirror the incumbent
-}
-
-func newLaneViews(a *Assignment) laneViews {
-	return laneViews{
-		a:     a.Clone(),
-		procT: make([]int, a.K()*SwapLanes),
-		dirty: true,
-	}
-}
-
-// sync brings the lane views to "incumbent with swap (ks[l], ls[l]) applied
-// in lane l": a full refresh when the incumbent changed, otherwise undoing
-// each lane's previous swap (a swap is its own inverse) and applying the
-// new one.
-func (v *laneViews) sync(ks, ls *[SwapLanes]int) {
-	procT := v.procT
-	if v.dirty {
-		for c, p := range v.a.ProcOf {
-			row := procT[c*SwapLanes : c*SwapLanes+SwapLanes]
-			for l := range row {
-				row[l] = p
-			}
-		}
-		v.dirty = false
-	} else {
-		for lane := 0; lane < SwapLanes; lane++ {
-			ki, li := v.laneK[lane]*SwapLanes+lane, v.laneL[lane]*SwapLanes+lane
-			procT[ki], procT[li] = procT[li], procT[ki]
-		}
-	}
-	for lane := 0; lane < SwapLanes; lane++ {
-		ki, li := ks[lane]*SwapLanes+lane, ls[lane]*SwapLanes+lane
-		procT[ki], procT[li] = procT[li], procT[ki]
-		v.laneK[lane], v.laneL[lane] = ks[lane], ls[lane]
-	}
-}
-
-// commitSwap applies the swap of clusters k and l to the incumbent.
-func (v *laneViews) commitSwap(k, l int) {
-	v.a.Swap(k, l)
-	v.dirty = true
-}
-
-// commitAssign replaces the incumbent with procOf (copied).
-func (v *laneViews) commitAssign(procOf []int) {
-	copy(v.a.ProcOf, procOf)
-	v.dirty = true
-}
 
 // SwapSession is the refinement loop's trial evaluator: it prices
 // single-swap perturbations of a committed incumbent assignment, either one
@@ -100,11 +40,19 @@ func (v *laneViews) commitAssign(procOf []int) {
 type SwapSession struct {
 	e *Evaluator
 
-	total   int   // committed total time
-	scratch []int // end times of the scalar full-evaluation passes
+	a       *Assignment // committed incumbent (private copy)
+	total   int         // committed total time
+	scratch []int       // end times of the scalar full-evaluation passes
 
-	lanes laneViews        // lane-major views of the batch kernel
-	endB  [][SwapLanes]int // lane-interleaved end times of the batch pass
+	// The batch kernel's lane-major processor views: procT[c*SwapLanes+l]
+	// is the processor of cluster c in lane l, where lane l is the
+	// incumbent with the swap (laneK[l], laneL[l]) applied, valid while
+	// !lanesDirty. Interleaving the lanes lets the kernel load each cluster
+	// id once and read its eight processors from one cache line.
+	procT        []int
+	laneK, laneL [SwapLanes]int
+	lanesDirty   bool
+	endB         [][SwapLanes]int // lane-interleaved end times of the batch pass
 
 	// The critical-chain certificate: onChain[c] reports that cluster c
 	// owns a task on one traced critical chain of the incumbent, valid
@@ -134,14 +82,16 @@ const (
 func (e *Evaluator) NewSwapSession(a *Assignment) *SwapSession {
 	n := len(e.size)
 	s := &SwapSession{
-		e:       e,
-		scratch: make([]int, n),
-		endB:    make([][SwapLanes]int, n),
-		lanes:   newLaneViews(a),
-		onChain: make([]bool, a.K()),
-		adopt:   adoptScratch, // filled just below
+		e:          e,
+		a:          a.Clone(),
+		scratch:    make([]int, n),
+		procT:      make([]int, a.K()*SwapLanes),
+		lanesDirty: true,
+		endB:       make([][SwapLanes]int, n),
+		onChain:    make([]bool, a.K()),
+		adopt:      adoptScratch, // filled just below
 	}
-	s.total = e.fillEnds(s.lanes.a.ProcOf, s.scratch)
+	s.total = e.fillEnds(s.a.ProcOf, s.scratch)
 	return s
 }
 
@@ -151,10 +101,10 @@ func (s *SwapSession) TotalTime() int { return s.total }
 // ProcOf exposes the committed incumbent's cluster→processor vector. It is
 // a live read-only view: callers must copy it before the next commit if
 // they need a snapshot, and must never mutate it.
-func (s *SwapSession) ProcOf() []int { return s.lanes.a.ProcOf }
+func (s *SwapSession) ProcOf() []int { return s.a.ProcOf }
 
 // K returns the number of clusters (== processors).
-func (s *SwapSession) K() int { return s.lanes.a.K() }
+func (s *SwapSession) K() int { return s.a.K() }
 
 // Evaluator returns the evaluation handle the session was built from.
 // Refiners use it for whole-assignment pricing beyond the session's own
@@ -168,10 +118,9 @@ func (s *SwapSession) Evaluator() *Evaluator { return s.e }
 //
 //mapcheck:noalloc
 func (s *SwapSession) TrySwap(k, l int) int {
-	a := s.lanes.a
-	a.Swap(k, l)
-	total := s.e.fillEnds(a.ProcOf, s.scratch)
-	a.Swap(k, l)
+	s.a.Swap(k, l)
+	total := s.e.fillEnds(s.a.ProcOf, s.scratch)
+	s.a.Swap(k, l)
 	s.lastK, s.lastL = k, l
 	s.scalarSwap, s.adopt = true, adoptNone
 	return total
@@ -197,7 +146,8 @@ func (s *SwapSession) TryAssign(procOf []int) int {
 //
 //mapcheck:noalloc
 func (s *SwapSession) CommitSwap(k, l, total int) {
-	s.lanes.commitSwap(k, l)
+	s.a.Swap(k, l)
+	s.lanesDirty = true
 	s.total = total
 	if k == l {
 		return
@@ -207,7 +157,7 @@ func (s *SwapSession) CommitSwap(k, l, total int) {
 		s.adopt = adoptScratch
 	} else if s.lanesSwap {
 		for lane := 0; lane < SwapLanes; lane++ {
-			if samePair(s.lanes.laneK[lane], s.lanes.laneL[lane], k, l) {
+			if samePair(s.laneK[lane], s.laneL[lane], k, l) {
 				s.adopt = lane
 				break
 			}
@@ -227,10 +177,40 @@ func samePair(a, b, c, d int) bool {
 //
 //mapcheck:noalloc
 func (s *SwapSession) CommitAssign(procOf []int, total int) {
-	s.lanes.commitAssign(procOf)
+	copy(s.a.ProcOf, procOf)
+	s.lanesDirty = true
 	s.total = total
 	s.chainOK, s.adopt = false, adoptNone
 	s.scalarSwap, s.lanesSwap = false, false
+}
+
+// syncLanes brings the lane views to "incumbent with swap (ks[l], ls[l])
+// applied in lane l": a full refresh when the incumbent changed, otherwise
+// undoing each lane's previous swap (a swap is its own inverse) and
+// applying the new one.
+//
+//mapcheck:noalloc
+func (s *SwapSession) syncLanes(ks, ls *[SwapLanes]int) {
+	procT := s.procT
+	if s.lanesDirty {
+		for c, p := range s.a.ProcOf {
+			row := procT[c*SwapLanes : c*SwapLanes+SwapLanes]
+			for l := range row {
+				row[l] = p
+			}
+		}
+		s.lanesDirty = false
+	} else {
+		for lane := 0; lane < SwapLanes; lane++ {
+			ki, li := s.laneK[lane]*SwapLanes+lane, s.laneL[lane]*SwapLanes+lane
+			procT[ki], procT[li] = procT[li], procT[ki]
+		}
+	}
+	for lane := 0; lane < SwapLanes; lane++ {
+		ki, li := ks[lane]*SwapLanes+lane, ls[lane]*SwapLanes+lane
+		procT[ki], procT[li] = procT[li], procT[ki]
+		s.laneK[lane], s.laneL[lane] = ks[lane], ls[lane]
+	}
 }
 
 // TrySwapBatch prices SwapLanes candidate swaps of the incumbent: lane i
@@ -241,7 +221,7 @@ func (s *SwapSession) CommitAssign(procOf []int, total int) {
 //
 //mapcheck:noalloc
 func (s *SwapSession) TrySwapBatch(ks, ls *[SwapLanes]int, totals *[SwapLanes]int) {
-	s.lanes.sync(ks, ls)
+	s.syncLanes(ks, ls)
 	s.fullSwapBatch(totals)
 	s.lanesSwap, s.adopt = true, adoptNone
 }
@@ -253,7 +233,7 @@ func (s *SwapSession) TrySwapBatch(ks, ls *[SwapLanes]int, totals *[SwapLanes]in
 //mapcheck:noalloc
 func (s *SwapSession) fullSwapBatch(totals *[SwapLanes]int) {
 	e := s.e
-	procT := s.lanes.procT
+	procT := s.procT
 	endB := s.endB
 	var totalB [SwapLanes]int
 	commOff, commEdges := e.commOff, e.commEdges
@@ -354,7 +334,7 @@ func (s *SwapSession) traceChain() {
 			end[t] = s.endB[t][s.adopt]
 		}
 	case s.adopt == adoptNone:
-		e.fillEnds(s.lanes.a.ProcOf, end)
+		e.fillEnds(s.a.ProcOf, end)
 	}
 	s.scalarSwap, s.adopt, s.chainOK = false, adoptScratch, true
 	for c := range onChain {
@@ -364,7 +344,7 @@ func (s *SwapSession) traceChain() {
 	for t >= 0 && end[t] != s.total {
 		t--
 	}
-	procOf, distT, ns := s.lanes.a.ProcOf, e.distT, e.ns
+	procOf, distT, ns := s.a.ProcOf, e.distT, e.ns
 	for t >= 0 {
 		onChain[e.clusOf[t]] = true
 		start := end[t] - int(e.size[t])
@@ -383,102 +363,4 @@ func (s *SwapSession) traceChain() {
 	for c := range onChain {
 		onChain[c] = true
 	}
-}
-
-// CardSession is the cardinality twin of SwapSession: it prices single-swap
-// perturbations of a committed incumbent under Bokhari's cardinality
-// measure (clustered problem edges landing on directly linked processors),
-// SwapLanes at a time in one interleaved edge scan. The cardinality
-// searchers — baseline.Bokhari's pairwise ascent, MaxCardinality — hammer
-// exactly this evaluation, so they ride the same lane-major batch machinery
-// as the refinement kernel instead of re-walking the edge CSR per scalar
-// trial. Construction is the only allocating step.
-type CardSession struct {
-	e     *Evaluator
-	lanes laneViews
-}
-
-// NewCardSession returns a cardinality session committed to a. The
-// assignment is copied; the caller's copy stays untouched.
-func (e *Evaluator) NewCardSession(a *Assignment) *CardSession {
-	return &CardSession{e: e, lanes: newLaneViews(a)}
-}
-
-// Cardinality returns the committed incumbent's cardinality.
-func (s *CardSession) Cardinality() int { return s.e.Cardinality(s.lanes.a) }
-
-// ProcOf exposes the committed incumbent's cluster→processor vector — a
-// live read-only view, exactly like SwapSession.ProcOf.
-func (s *CardSession) ProcOf() []int { return s.lanes.a.ProcOf }
-
-// CommitSwap applies the swap of clusters k and l to the incumbent.
-// Cardinality commits carry no cached metric, so any swap — priced or not —
-// may be committed; Bokhari's probabilistic jumps commit blind swaps.
-//
-//mapcheck:noalloc
-func (s *CardSession) CommitSwap(k, l int) { s.lanes.commitSwap(k, l) }
-
-// CommitAssign replaces the committed incumbent with procOf (copied).
-//
-//mapcheck:noalloc
-func (s *CardSession) CommitAssign(procOf []int) { s.lanes.commitAssign(procOf) }
-
-// TryCardBatch prices SwapLanes candidate swaps of the incumbent in one
-// interleaved edge scan: lane i is the incumbent with clusters ks[i] and
-// ls[i] exchanged, and cards[i] receives its exact cardinality. Lanes are
-// independent — duplicates are fine, and ks[i] == ls[i] prices the
-// unperturbed incumbent — and nothing is committed.
-//
-//mapcheck:noalloc
-func (s *CardSession) TryCardBatch(ks, ls *[SwapLanes]int, cards *[SwapLanes]int) {
-	e := s.e
-	s.lanes.sync(ks, ls)
-	procT := s.lanes.procT
-	var cardB [SwapLanes]int
-	commOff, commEdges := e.commOff, e.commEdges
-	clusOf, distT, ns := e.clusOf, e.distT, e.ns
-	n := len(e.size)
-	for t := 0; t < n; t++ {
-		ces := commEdges[commOff[t]:commOff[t+1]]
-		if len(ces) == 0 {
-			continue
-		}
-		c := int(clusOf[t]) * SwapLanes
-		pc := procT[c : c+SwapLanes]
-		b0, b1, b2, b3 := pc[0]*ns, pc[1]*ns, pc[2]*ns, pc[3]*ns
-		b4, b5, b6, b7 := pc[4]*ns, pc[5]*ns, pc[6]*ns, pc[7]*ns
-		for i := range ces {
-			ce := &ces[i]
-			if ce.w == 0 {
-				continue // intra-cluster precedence, not a clustered edge
-			}
-			cl := int(ce.clus) * SwapLanes
-			pp := procT[cl : cl+SwapLanes]
-			if distT[b0+pp[0]] == 1 {
-				cardB[0]++
-			}
-			if distT[b1+pp[1]] == 1 {
-				cardB[1]++
-			}
-			if distT[b2+pp[2]] == 1 {
-				cardB[2]++
-			}
-			if distT[b3+pp[3]] == 1 {
-				cardB[3]++
-			}
-			if distT[b4+pp[4]] == 1 {
-				cardB[4]++
-			}
-			if distT[b5+pp[5]] == 1 {
-				cardB[5]++
-			}
-			if distT[b6+pp[6]] == 1 {
-				cardB[6]++
-			}
-			if distT[b7+pp[7]] == 1 {
-				cardB[7]++
-			}
-		}
-	}
-	*cards = cardB
 }
