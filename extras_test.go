@@ -182,14 +182,6 @@ func TestScheduleAnalysisFacade(t *testing.T) {
 	if err := e.CheckResult(a, res); err != nil {
 		t.Fatal(err)
 	}
-	for _, u := range e.Utilization(a, res) {
-		if u < 0 || u > 1 {
-			t.Fatal("utilization out of range")
-		}
-	}
-	if e.Speedup(res) <= 0 {
-		t.Fatal("speedup not positive")
-	}
 	st := e.AnalyzeComm(a)
 	if st.Edges != 4 || st.Dilation() < 1 {
 		t.Fatalf("comm stats wrong: %+v", st)

@@ -5,8 +5,7 @@ import (
 )
 
 // Analysis helpers: schedule validation against the execution model, and
-// the summary statistics (utilisation, speedup, communication volume) used
-// by reports and tests.
+// the communication statistics used by reports and tests.
 
 // CheckResult verifies that a Result is a faithful dataflow schedule of
 // assignment a under evaluator e: end = start + size for every task, every
@@ -56,60 +55,6 @@ func (e *Evaluator) CheckResult(a *Assignment, res *Result) error {
 		return fmt.Errorf("schedule: total time %d ≠ max end %d", res.TotalTime, maxEnd)
 	}
 	return nil
-}
-
-// Utilization returns, per processor, the fraction of the makespan spent
-// executing tasks (0 when the makespan is 0). In the dataflow model tasks
-// on one processor may overlap; overlapping intervals are merged so a value
-// never exceeds 1.
-func (e *Evaluator) Utilization(a *Assignment, res *Result) []float64 {
-	nProcs := e.Dist.NumNodes()
-	util := make([]float64, nProcs)
-	if res.TotalTime == 0 {
-		return util
-	}
-	type interval struct{ s, t int }
-	perProc := make([][]interval, nProcs)
-	for i := 0; i < e.Prob.NumTasks(); i++ {
-		p := a.ProcOf[e.Clus.Of[i]]
-		perProc[p] = append(perProc[p], interval{res.Start[i], res.End[i]})
-	}
-	for p, ivs := range perProc {
-		// Insertion sort by start; merge overlaps.
-		for i := 1; i < len(ivs); i++ {
-			for j := i; j > 0 && ivs[j].s < ivs[j-1].s; j-- {
-				ivs[j], ivs[j-1] = ivs[j-1], ivs[j]
-			}
-		}
-		busy, curS, curT := 0, -1, -1
-		for _, iv := range ivs {
-			if iv.s > curT {
-				busy += curT - curS
-				curS, curT = iv.s, iv.t
-				continue
-			}
-			if iv.t > curT {
-				curT = iv.t
-			}
-		}
-		if curT > curS {
-			busy += curT - curS
-		}
-		if curS == -1 {
-			busy = 0
-		}
-		util[p] = float64(busy) / float64(res.TotalTime)
-	}
-	return util
-}
-
-// Speedup returns serial time (total work) divided by the makespan: the
-// classic parallel speedup of the mapped program.
-func (e *Evaluator) Speedup(res *Result) float64 {
-	if res.TotalTime == 0 {
-		return 0
-	}
-	return float64(e.Prob.TotalWork()) / float64(res.TotalTime)
 }
 
 // CommStats summarises the communication an assignment induces.

@@ -52,57 +52,6 @@ func TestCheckResultCatchesCorruption(t *testing.T) {
 	}
 }
 
-func TestUtilizationBounds(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		p, c := randomClusteredInstance(rng, 20)
-		sys := topology.Random(c.K, 0.3, rng)
-		e, err := NewEvaluator(p, c, paths.New(sys))
-		if err != nil {
-			return false
-		}
-		a := FromPerm(rng.Perm(c.K))
-		res := e.Evaluate(a)
-		for _, u := range e.Utilization(a, res) {
-			if u < 0 || u > 1+1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 120}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestUtilizationKnownValue(t *testing.T) {
-	e := newEval(t)
-	a := FromPerm([]int{2, 3, 0, 1})
-	res := e.Evaluate(a)
-	util := e.Utilization(a, res)
-	// Cluster A = tasks 0,1,2 on processor 2: busy [0,4) of 21.
-	if got, want := util[2], 4.0/21.0; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("util[2] = %v, want %v", got, want)
-	}
-	// Cluster D = tasks 9 [19,21) and 10 [12,14) on processor 1: busy 4.
-	if got, want := util[1], 4.0/21.0; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("util[1] = %v, want %v", got, want)
-	}
-}
-
-func TestSpeedup(t *testing.T) {
-	e := newEval(t)
-	a := FromPerm([]int{2, 3, 0, 1})
-	res := e.Evaluate(a)
-	// Total work 16 over makespan 21.
-	if got, want := e.Speedup(res), 16.0/21.0; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("speedup = %v, want %v", got, want)
-	}
-	if e.Speedup(&Result{}) != 0 {
-		t.Fatal("zero-makespan speedup should be 0")
-	}
-}
-
 func TestAnalyzeComm(t *testing.T) {
 	e := newEval(t)
 	a := FromPerm([]int{2, 3, 0, 1})
