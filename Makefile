@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test golden race vet lint vuln bench bench-smoke bench-module fuzz-smoke examples-smoke loc ci clean
+.PHONY: all build test golden race vet fmt lint vuln bench bench-smoke bench-module fuzz-smoke examples-smoke loc ci clean
 
 all: ci
 
@@ -30,6 +30,12 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# Fail when any tracked Go file is not gofmt-formatted; the offending files
+# are listed.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "fmt: gofmt would reformat:"; echo "$$out"; exit 1; fi
 
 # The repo's own invariant suite (internal/lint via cmd/mapcheck):
 # determinism-contract, zero-alloc-contract, and registry-wiring analyzers
@@ -107,7 +113,7 @@ examples-smoke:
 loc:
 	@git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^bench/' | xargs cat | wc -l
 
-ci: build vet lint test race bench-smoke bench-module fuzz-smoke examples-smoke
+ci: build vet fmt lint test race bench-smoke bench-module fuzz-smoke examples-smoke
 
 clean:
 	$(GO) clean ./...
