@@ -67,12 +67,14 @@ bench:
 # included, on three of those machines) at a short benchtime, so none can
 # rot unnoticed. BenchmarkSearchHeavy runs the search-heavy workload's shape
 # (np=160 on mesh-5x8, portfolio, two chains, 2000 trials),
-# BenchmarkColdMapLarge the large-cold one (np=2000 on mesh-8x16, the only
-# Go benchmark that drives §4.3.2 placement at ns=128), and the Table 1
+# BenchmarkColdMapLarge the large-cold one (np=2000 on mesh-8x16, a whole
+# cold solve), BenchmarkInitialAssignment the §4.3.2 placement layer alone
+# on the large-cold shape and a mesh-5x8 Table shape, and the Table 1
 # portfolio run smokes the multi-start lockstep path (elite exchange across
 # chains), which the single-chain BenchmarkRefiners cannot reach.
 bench-smoke:
 	$(GO) test -bench 'SwapKernel|SwapScalar|RefineTotalTime|RefineEvaluateInto' -benchtime 10x -run '^$$' ./internal/schedule/
+	$(GO) test -bench 'InitialAssignment' -benchtime 10x -run '^$$' ./internal/core/
 	$(GO) test -run '^$$' -bench Refiners -benchtime 64x ./internal/search/
 	$(GO) test -bench 'SearchHeavy|ColdMapLarge' -benchtime 2x -run '^$$' .
 	$(GO) run ./cmd/mapbench -table 1 -refiner portfolio -starts 4 -trials 2 > /dev/null

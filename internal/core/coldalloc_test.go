@@ -7,6 +7,7 @@ import (
 
 	"mimdmap/internal/cluster"
 	"mimdmap/internal/gen"
+	"mimdmap/internal/graph"
 	"mimdmap/internal/topology"
 )
 
@@ -19,19 +20,7 @@ func TestColdLargeAllocation(t *testing.T) {
 		t.Skip("generates an np=2000 instance")
 	}
 	const np, limit = 2000, 8 << 20
-	rng := rand.New(rand.NewSource(1991))
-	p, err := gen.Random(gen.RandomConfig{
-		Tasks: np, EdgeProb: 3.0 / np, MinTaskSize: 1, MaxTaskSize: 20,
-		MinEdgeWeight: 1, MaxEdgeWeight: 5, Connected: true,
-	}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys := topology.Mesh(8, 16)
-	c, err := (&cluster.Random{Rand: rng}).Cluster(p, sys.NumNodes())
-	if err != nil {
-		t.Fatal(err)
-	}
+	p, c, sys := largeColdInstance(t)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -74,13 +63,14 @@ func TestInitialAssignmentAllocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	crit := analyse(t, m)
-	m.initialAssignment(crit) // warm up
+	abs := graph.BuildAbstract(p, c)
+	m.initialAssignment(crit, abs) // warm up
 
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
-		m.initialAssignment(crit)
+		m.initialAssignment(crit, abs)
 	}
 	runtime.ReadMemStats(&after)
 	words := (after.TotalAlloc - before.TotalAlloc) / runs / 8

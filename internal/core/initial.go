@@ -2,6 +2,7 @@ package core
 
 import (
 	"mimdmap/internal/critical"
+	"mimdmap/internal/graph"
 	"mimdmap/internal/schedule"
 )
 
@@ -10,7 +11,7 @@ import (
 // grow outward along critical abstract edges (step 2), then place the
 // remaining abstract nodes by communication intensity (step 3). It returns
 // the assignment and the frozen (critical abstract node) markers used by
-// refinement.
+// refinement. abs is the abstract graph of the mapper's clustered problem.
 //
 // Deviations from the paper, all in under-specified corners:
 //
@@ -22,8 +23,8 @@ import (
 //   - When the critical subgraph (step 2) or the abstract graph (step 3) is
 //     disconnected, the walk re-seeds on the highest-ranked unvisited node
 //     and places it on the highest-degree free system node.
-func (m *Mapper) initialAssignment(crit *critical.Analysis) (*schedule.Assignment, []bool) {
-	na := m.abs.K
+func (m *Mapper) initialAssignment(crit *critical.Analysis, abs *graph.Abstract) (*schedule.Assignment, []bool) {
+	na := abs.K
 	ns := m.sys.NumNodes()
 	assign := &schedule.Assignment{ProcOf: make([]int, na)}
 	for k := range assign.ProcOf {
@@ -33,26 +34,26 @@ func (m *Mapper) initialAssignment(crit *critical.Analysis) (*schedule.Assignmen
 	visitedAbs := make([]bool, na)
 	visitedSys := make([]bool, ns)
 	deg := m.sys.Degrees()
-	mca := m.abs.MCA()
+	mca := abs.MCA()
 	// critAdj[k] / absAdj[k] report whether abstract node k shares a
 	// critical / any abstract edge with a visited node. Maintaining them
 	// as nodes are visited keeps the next-node scans O(K) instead of
 	// rescanning every visited node for every candidate.
 	critAdj := make([]bool, na)
 	absAdj := make([]bool, na)
-	neighbours := make([]placedNeighbour, 0, na)
-	marked := make([]bool, ns)
+	scratch := pickScratch{
+		neighbours: make([]placedNeighbour, 0, na),
+		candidates: make([]int, 0, ns),
+		seen:       make([]bool, ns),
+	}
 
 	visit := func(va int) {
 		visitedAbs[va] = true
-		absRow := m.abs.Weight[va]
-		for l, w := range crit.AbsEdge[va] {
-			if w > 0 {
-				critAdj[l] = true
-			}
-			if absRow[l] > 0 {
-				absAdj[l] = true
-			}
+		for _, e := range crit.AbsEdge.Row(va) {
+			critAdj[e.To] = true
+		}
+		for _, e := range abs.Row(va) {
+			absAdj[e.To] = true
 		}
 	}
 	place := func(va, vs int) {
@@ -98,7 +99,7 @@ func (m *Mapper) initialAssignment(crit *critical.Analysis) (*schedule.Assignmen
 			break
 		}
 		visit(va)
-		vs, adjacent := m.pickSystemNode(va, crit.AbsEdge[va], deg, visitedSys, assign, neighbours, marked)
+		vs, adjacent := m.pickSystemNode(crit.AbsEdge.Row(va), deg, visitedSys, assign, &scratch)
 		if vs == -1 {
 			// Disconnected critical component: re-seed on the best free
 			// system node. The node cannot be adjacent to a placed critical
@@ -126,7 +127,7 @@ func (m *Mapper) initialAssignment(crit *critical.Analysis) (*schedule.Assignmen
 			break
 		}
 		visit(va)
-		vs, _ := m.pickSystemNode(va, m.abs.Weight[va], deg, visitedSys, assign, neighbours, marked)
+		vs, _ := m.pickSystemNode(abs.Row(va), deg, visitedSys, assign, &scratch)
 		if vs == -1 {
 			vs = maxDegreeFreeSys()
 		}
@@ -165,70 +166,86 @@ func nextNode(rank []int, visitedAbs, adjacent []bool, positiveOnly bool) int {
 // its processor and the weight of the edge between them.
 type placedNeighbour struct{ proc, w int }
 
+// pickScratch is pickSystemNode's working space, owned by the caller so
+// that a placement allocates nothing per node: va's placed neighbours, the
+// step-(b) candidate processors, and a per-processor "already a candidate"
+// mark (returned all-false).
+type pickScratch struct {
+	neighbours []placedNeighbour
+	candidates []int
+	seen       []bool
+}
+
 // pickSystemNode chooses the processor for abstract node va (steps 2(b)/(c)
-// and 3(b)/(c) of §4.3.2). weight is va's row of the relevant edge weights:
-// the critical abstract edge weights in step 2, the full abstract edge
-// weights in step 3. deg holds the system node degrees, buf is scratch
-// space for va's placed neighbours and marked is an all-false scratch mark
-// per processor (returned all-false), all owned by the caller so that a
-// placement allocates nothing per node.
+// and 3(b)/(c) of §4.3.2). row is va's row of the relevant abstract graph:
+// the critical abstract edges in step 2, all abstract edges in step 3. deg
+// holds the system node degrees.
 //
 // The paper's step (b) accepts any free system node that is "a neighbor of
 // some marked node"; when several qualify it ranks by system-node degree
-// only. Within that freedom we rank candidates by the total weighted
-// distance from all placed neighbours of va — Σ weight(va,l) ×
-// dist(proc(l), cand) — which keeps the whole neighbourhood close rather
-// than a single anchor (ties: higher degree, then lower ID). Step (c) applies the same
-// rule over all free nodes when no free node is adjacent to any placed
-// neighbour. adjacent reports whether the chosen node is directly linked to
-// a placed neighbour's processor (the condition under which step 2 marks va
-// as a critical abstract node). Returns (-1, false) when va has no placed
-// neighbour with positive weight.
-func (m *Mapper) pickSystemNode(va int, weight, deg []int, visitedSys []bool, assign *schedule.Assignment, buf []placedNeighbour, marked []bool) (proc int, adjacent bool) {
-	neighbours := buf[:0]
-	for l, w := range weight {
-		if l == va || assign.ProcOf[l] < 0 {
-			continue
-		}
-		if w > 0 {
-			neighbours = append(neighbours, placedNeighbour{assign.ProcOf[l], w})
-			marked[assign.ProcOf[l]] = true
+// only. The candidates are collected from the system neighbours of the
+// placed neighbours' processors (system links are symmetric, so these are
+// exactly the free nodes adjacent to one), and only they are priced.
+// Within the paper's freedom we rank them by the total weighted distance
+// from all placed neighbours of va — Σ weight(va,l) × dist(proc(l), cand) —
+// which keeps the whole neighbourhood close rather than a single anchor;
+// ties go to the higher degree, then the lower ID. Step (c) applies the
+// same rule over every free node, and runs only when no free node is
+// adjacent to a placed neighbour. adjacent reports whether the chosen node
+// is directly linked to a placed neighbour's processor (the condition under
+// which step 2 marks va as a critical abstract node). Returns (-1, false)
+// when va has no placed neighbour.
+func (m *Mapper) pickSystemNode(row []graph.AbsArc, deg []int, visitedSys []bool, assign *schedule.Assignment, s *pickScratch) (proc int, adjacent bool) {
+	neighbours := s.neighbours[:0]
+	for _, e := range row {
+		if p := assign.ProcOf[e.To]; p >= 0 {
+			neighbours = append(neighbours, placedNeighbour{p, e.W})
 		}
 	}
 	if len(neighbours) == 0 {
 		return -1, false
 	}
 
-	dist, ns := m.dist.ToMajor(), len(visitedSys)
-	best, bestCost, bestAdj := -1, 0, false
-	for v, used := range visitedSys {
-		if used {
-			continue
+	// Step (b): the free system neighbours of the placed neighbours'
+	// processors, each once.
+	candidates := s.candidates[:0]
+	for _, nbr := range neighbours {
+		for _, v := range m.sys.Neighbors(nbr.proc) {
+			if !visitedSys[v] && !s.seen[v] {
+				s.seen[v] = true
+				candidates = append(candidates, v)
+			}
 		}
+	}
+	for _, v := range candidates {
+		s.seen[v] = false
+	}
+
+	dist, ns := m.dist.ToMajor(), len(visitedSys)
+	best, bestCost := -1, 0
+	price := func(v int) {
 		into := dist[v*ns : v*ns+ns] // into[p] = dist(p, v)
 		cost := 0
 		for _, nbr := range neighbours {
 			cost += nbr.w * int(into[nbr.proc])
 		}
-		adj := false
-		for _, w := range m.sys.Neighbors(v) {
-			if marked[w] {
-				adj = true
-				break
-			}
-		}
-		// Nodes adjacent to a placed neighbour (step b) beat non-adjacent
-		// ones (step c); then lower weighted distance, then higher degree.
-		better := best == -1 ||
-			(adj && !bestAdj) ||
-			(adj == bestAdj && cost < bestCost) ||
-			(adj == bestAdj && cost == bestCost && deg[v] > deg[best])
-		if better {
-			best, bestCost, bestAdj = v, cost, adj
+		// Lower weighted distance, then higher degree, then lower ID.
+		if best == -1 || cost < bestCost ||
+			(cost == bestCost && (deg[v] > deg[best] || (deg[v] == deg[best] && v < best))) {
+			best, bestCost = v, cost
 		}
 	}
-	for _, nbr := range neighbours {
-		marked[nbr.proc] = false
+	for _, v := range candidates {
+		price(v)
 	}
-	return best, bestAdj
+	if best != -1 {
+		return best, true
+	}
+	// Step (c): no free node neighbours a placed one; price them all.
+	for v, used := range visitedSys {
+		if !used {
+			price(v)
+		}
+	}
+	return best, false
 }

@@ -36,7 +36,7 @@ func TestInitialAssignmentIsBijection(t *testing.T) {
 			return false
 		}
 		crit := critical.Analyze(p, c, g, critical.Paper)
-		assign, frozen := m.initialAssignment(crit)
+		assign, frozen := m.initialAssignment(crit, graph.BuildAbstract(m.prob, m.clus))
 		if assign.Validate() != nil {
 			return false
 		}
@@ -65,7 +65,7 @@ func TestInitialAssignmentSeedsOnMaxDegrees(t *testing.T) {
 	crit := analyse(t, m)
 	// Critical degrees: cluster 0:5, 1:10, 2:10, 3:5 → seed is cluster 1
 	// (lowest ID among maxima), placed on the hub.
-	assign, frozen := m.initialAssignment(crit)
+	assign, frozen := m.initialAssignment(crit, graph.BuildAbstract(m.prob, m.clus))
 	if assign.ProcOf[1] != 0 {
 		t.Fatalf("seed cluster 1 on processor %d, want hub 0", assign.ProcOf[1])
 	}
@@ -86,7 +86,7 @@ func TestInitialAssignmentNoCriticalEdgesNothingFrozen(t *testing.T) {
 		t.Fatal(err)
 	}
 	crit := analyse(t, m)
-	assign, frozen := m.initialAssignment(crit)
+	assign, frozen := m.initialAssignment(crit, graph.BuildAbstract(m.prob, m.clus))
 	if err := assign.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestInitialAssignmentChainEmbedsInRing(t *testing.T) {
 		t.Fatal(err)
 	}
 	crit := analyse(t, m)
-	assign, frozen := m.initialAssignment(crit)
+	assign, frozen := m.initialAssignment(crit, graph.BuildAbstract(m.prob, m.clus))
 	for _, pair := range [][2]int{{0, 1}, {1, 2}, {2, 3}} {
 		d := m.dist.At(assign.ProcOf[pair[0]], assign.ProcOf[pair[1]])
 		if d != 1 {
@@ -140,7 +140,7 @@ func TestInitialAssignmentDisconnectedCriticalComponents(t *testing.T) {
 		t.Fatal(err)
 	}
 	crit := analyse(t, m)
-	assign, _ := m.initialAssignment(crit)
+	assign, _ := m.initialAssignment(crit, graph.BuildAbstract(m.prob, m.clus))
 	if err := assign.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestInitialAssignmentDisconnectedComponentsOnChainMachine(t *testing.T) {
 		t.Fatal(err)
 	}
 	crit := analyse(t, m)
-	assign, frozen := m.initialAssignment(crit)
+	assign, frozen := m.initialAssignment(crit, graph.BuildAbstract(m.prob, m.clus))
 	if err := assign.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestInitialAssignmentSingleCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	crit := analyse(t, m)
-	assign, _ := m.initialAssignment(crit)
+	assign, _ := m.initialAssignment(crit, graph.BuildAbstract(m.prob, m.clus))
 	if assign.ProcOf[0] != 0 {
 		t.Fatal("single cluster must land on the single processor")
 	}

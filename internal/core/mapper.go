@@ -143,7 +143,6 @@ type Mapper struct {
 	clus *graph.Clustering
 	sys  *graph.System
 	dist *paths.Table
-	abs  *graph.Abstract
 	eval *schedule.Evaluator
 
 	// freeClusters/freeProcs are the movable clusters and the processors
@@ -216,7 +215,6 @@ func New(p *graph.Problem, c *graph.Clustering, s *graph.System, opts Options) (
 		clus: c,
 		sys:  s,
 		dist: dist,
-		abs:  graph.BuildAbstract(p, c),
 		eval: eval,
 	}, nil
 }
@@ -267,7 +265,9 @@ func (m *Mapper) analyse() (*Result, error) {
 		assign = schedule.FromPerm(inc.ProcOf)
 		frozen = make([]bool, m.clus.K)
 	} else {
-		assign, frozen = m.initialAssignment(crit)
+		// Only the §4.3.2 placement reads the abstract graph, so warm
+		// starts never build it.
+		assign, frozen = m.initialAssignment(crit, graph.BuildAbstract(m.prob, m.clus))
 	}
 	res := &Result{
 		Assignment:     assign,

@@ -21,8 +21,8 @@
 //
 // The paper's crit_edge is an np×np matrix; Analysis keeps one entry per
 // problem edge instead (indexed by edge ID of the problem's graph.View) and
-// walks the view's predecessor lists, so an analysis costs O(np + edges)
-// plus the K×K critical abstract matrix.
+// walks the view's predecessor lists, and the critical abstract graph is
+// kept in sparse rows, so an analysis costs O(np + K + edges).
 package critical
 
 import (
@@ -62,13 +62,17 @@ type Analysis struct {
 	// is the clustered weight of critical edge e, 0 if the edge is not
 	// critical.
 	ProbEdge []int
-	// AbsEdge is the K×K critical abstract edge matrix c_abs_edge (symmetric,
-	// without the paper's extra degree column): AbsEdge[k][l] is the summed
-	// weight of critical problem edges between clusters k and l.
-	AbsEdge [][]int
+	// AbsEdge is the critical abstract graph, the paper's K×K matrix
+	// c_abs_edge in sparse rows (without its extra degree column):
+	// AbsEdge.Row(k) lists the clusters l joined to k by a critical
+	// problem edge, ascending, each with the summed weight of the critical
+	// problem edges between k and l. It is built by graph.FoldAbstract,
+	// the builder of the abstract graph itself.
+	AbsEdge *graph.Abstract
 	// Degree[k] is the critical degree of abstract node k: the sum of the
 	// weights of all critical abstract edges incident to it (the last
-	// column of the paper's c_abs_edge matrix).
+	// column of the paper's c_abs_edge matrix), the row sums of AbsEdge.
+	// It shares AbsEdge.MCA()'s slice.
 	Degree []int
 	// OnCriticalPath[i] reports that delaying the start of task i delays
 	// the total time — task i was reached by the backward walk.
@@ -85,8 +89,6 @@ func Analyze(p *graph.Problem, c *graph.Clustering, g *ideal.Graph, mode Propaga
 	a := &Analysis{
 		Mode:           mode,
 		ProbEdge:       make([]int, len(arcs)),
-		AbsEdge:        newMatrix(c.K),
-		Degree:         make([]int, c.K),
 		OnCriticalPath: make([]bool, n),
 	}
 
@@ -135,19 +137,16 @@ func Analyze(p *graph.Problem, c *graph.Clustering, g *ideal.Graph, mode Propaga
 	}
 
 	// Fold critical problem edges into critical abstract edges
-	// (§4.2 Algorithm II) and row-sum the critical degrees (Algorithm III).
+	// (§4.2 Algorithm II); the row sums are the critical degrees
+	// (Algorithm III).
+	crit := make([]graph.Arc, 0, a.NumCriticalProbEdges())
 	for e, w := range a.ProbEdge {
 		if w > 0 {
-			k, l := c.Of[arcs[e].From], c.Of[arcs[e].To]
-			a.AbsEdge[k][l] += w
-			a.AbsEdge[l][k] += w
+			crit = append(crit, graph.Arc{From: arcs[e].From, To: arcs[e].To, W: w})
 		}
 	}
-	for k := 0; k < c.K; k++ {
-		for l := 0; l < c.K; l++ {
-			a.Degree[k] += a.AbsEdge[k][l]
-		}
-	}
+	a.AbsEdge = graph.FoldAbstract(c, crit)
+	a.Degree = a.AbsEdge.MCA()
 	return a
 }
 
@@ -189,31 +188,7 @@ func (a *Analysis) NumCriticalProbEdges() int {
 
 // NumCriticalAbsEdges returns the count of (undirected) critical abstract
 // edges.
-func (a *Analysis) NumCriticalAbsEdges() int {
-	n := 0
-	for k := range a.AbsEdge {
-		for l := k + 1; l < len(a.AbsEdge[k]); l++ {
-			if a.AbsEdge[k][l] > 0 {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// IsCriticalAbsEdge reports whether the abstract edge k—l is critical.
-func (a *Analysis) IsCriticalAbsEdge(k, l int) bool {
-	return k != l && a.AbsEdge[k][l] > 0
-}
-
-func newMatrix(n int) [][]int {
-	m := make([][]int, n)
-	cells := make([]int, n*n)
-	for i := range m {
-		m[i], cells = cells[:n:n], cells[n:]
-	}
-	return m
-}
+func (a *Analysis) NumCriticalAbsEdges() int { return a.AbsEdge.NumEdges() }
 
 // LongestCriticalChain extracts one maximal tight path of the ideal graph:
 // starting from the lowest-numbered latest task, it repeatedly steps to the

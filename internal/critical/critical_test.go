@@ -3,6 +3,7 @@ package critical
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -74,8 +75,10 @@ func TestPaperModeRunningExample(t *testing.T) {
 	if got := a.Degree; !reflect.DeepEqual(got, []int{0, 0, 3, 3}) {
 		t.Fatalf("Degree = %v, want [0 0 3 3]", got)
 	}
-	if !a.IsCriticalAbsEdge(2, 3) || a.IsCriticalAbsEdge(0, 1) {
-		t.Fatal("critical abstract edges wrong")
+	for k, row := range [][]graph.AbsArc{nil, nil, {{To: 3, W: 3}}, {{To: 2, W: 3}}} {
+		if got := a.AbsEdge.Row(k); !slices.Equal(got, row) {
+			t.Fatalf("critical abstract Row(%d) = %v, want %v", k, got, row)
+		}
 	}
 	if got := a.CriticalClusters(); !reflect.DeepEqual(got, []int{2, 3}) {
 		t.Fatalf("CriticalClusters = %v, want [2 3]", got)
@@ -390,15 +393,25 @@ func TestAbstractFoldingConsistent(t *testing.T) {
 				}
 			}
 		}
+		// Read the sparse rows back against the dense fold: every entry
+		// ascending and equal to the oracle, no oracle entry missing.
 		for k := 0; k < c.K; k++ {
-			deg := 0
-			for l := 0; l < c.K; l++ {
-				if a.AbsEdge[k][l] != want[k][l] {
+			deg, n := 0, 0
+			for x, e := range a.AbsEdge.Row(k) {
+				if x > 0 && a.AbsEdge.Row(k)[x-1].To >= e.To {
 					return false
+				}
+				if e.W != want[k][e.To] {
+					return false
+				}
+			}
+			for l := 0; l < c.K; l++ {
+				if want[k][l] > 0 {
+					n++
 				}
 				deg += want[k][l]
 			}
-			if a.Degree[k] != deg {
+			if n != len(a.AbsEdge.Row(k)) || a.Degree[k] != deg {
 				return false
 			}
 		}

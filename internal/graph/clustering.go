@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Clustering assigns every task of a problem graph to one of K clusters.
 // It corresponds to the paper's cluster matrix clus_pnode, stored inverted:
@@ -139,87 +136,105 @@ func ClusteredWeights(v *View, c *Clustering) []int {
 // collapsed into one abstract edge. The paper stores only edge presence
 // (abs_edge is 0/1); we additionally keep the summed weight, from which both
 // the adjacency and the communication-intensity vector mca are derived.
+//
+// The graph is kept as compressed sparse rows: Row(k) lists the abstract
+// edges of node k, so a build and a walk over every row cost O(K + edges),
+// not the K² of the paper's matrix.
 type Abstract struct {
 	// K is the number of abstract nodes na.
 	K int
-	// Weight[k][l] is the sum of clustered-edge weights between clusters k
-	// and l, in either direction (symmetric). 0 means no abstract edge.
-	Weight [][]int
+	// off[k]..off[k+1] delimit Row(k) in arcs.
+	off  []int
+	arcs []AbsArc
+	// mca[k] is the weight sum of Row(k).
+	mca []int
+}
+
+// AbsArc is one abstract edge seen from one of its endpoints: the abstract
+// node To at the other end and the summed weight W > 0 of the clustered
+// edges between the two, in either direction.
+type AbsArc struct {
+	To, W int
 }
 
 // BuildAbstract collapses a clustered problem graph into its abstract graph.
 func BuildAbstract(p *Problem, c *Clustering) *Abstract {
-	a := &Abstract{K: c.K, Weight: make([][]int, c.K)}
-	cells := make([]int, c.K*c.K)
-	for i := range a.Weight {
-		a.Weight[i], cells = cells[:c.K:c.K], cells[c.K:]
-	}
-	for _, arc := range p.View().arcs {
-		if w := c.CommWeight(arc); w > 0 {
-			k, l := c.Of[arc.From], c.Of[arc.To]
-			a.Weight[k][l] += w
-			a.Weight[l][k] += w
+	return FoldAbstract(c, p.View().arcs)
+}
+
+// FoldAbstract collapses arcs, task edges weighted by W, onto the clusters
+// of c: every arc with W > 0 between two clusters adds W to the abstract
+// edge between them, in both rows. Arcs inside one cluster are skipped.
+//
+// The build is O(K + len(arcs)). One bucket pass groups the contributing
+// arcs by cluster. Walking the buckets in ascending cluster order r then
+// appends r to the row of each neighbour o, so every row fills in
+// ascending order and a repeated pair is always the row's last entry,
+// where it merges. Rows fill at their bucket offsets, an upper bound, and
+// are packed down at the end.
+func FoldAbstract(c *Clustering, arcs []Arc) *Abstract {
+	k := c.K
+	a := &Abstract{K: k, off: make([]int, k+1), mca: make([]int, k)}
+	// bucket[start[r]:start[r+1]] holds, for each arc incident to cluster
+	// r, the cluster o at its other end and the arc's index e; int32 halves
+	// the bucket, and cluster and arc counts stay far below 2³¹.
+	type half struct{ o, e int32 }
+	start := make([]int, k+1)
+	for _, arc := range arcs {
+		if x, y := c.Of[arc.From], c.Of[arc.To]; arc.W > 0 && x != y {
+			start[x+1]++
+			start[y+1]++
 		}
 	}
+	for r := 0; r < k; r++ {
+		start[r+1] += start[r]
+	}
+	next := make([]int, k)
+	copy(next, start[:k])
+	bucket := make([]half, start[k])
+	for e, arc := range arcs {
+		if x, y := c.Of[arc.From], c.Of[arc.To]; arc.W > 0 && x != y {
+			bucket[next[x]] = half{int32(y), int32(e)}
+			bucket[next[y]] = half{int32(x), int32(e)}
+			next[x]++
+			next[y]++
+		}
+	}
+	// Row o fills out[start[o]:next[o]].
+	copy(next, start[:k])
+	out := make([]AbsArc, start[k])
+	for r := 0; r < k; r++ {
+		for _, h := range bucket[start[r]:start[r+1]] {
+			o, w := h.o, arcs[h.e].W
+			if n := next[o]; n > start[o] && out[n-1].To == r {
+				out[n-1].W += w
+			} else {
+				out[n] = AbsArc{To: r, W: w}
+				next[o]++
+			}
+			a.mca[o] += w
+		}
+	}
+	n := 0
+	for r := 0; r < k; r++ {
+		a.off[r] = n
+		n += copy(out[n:], out[start[r]:next[r]])
+	}
+	a.off[k] = n
+	a.arcs = out[:n:n]
 	return a
 }
 
-// HasEdge reports whether abstract nodes k and l are connected
-// (abs_edge[k][l] == 1 in the paper).
-func (a *Abstract) HasEdge(k, l int) bool { return k != l && a.Weight[k][l] > 0 }
+// Row returns the abstract edges of node k, ascending in To. The slice is
+// shared: callers must not modify it.
+func (a *Abstract) Row(k int) []AbsArc { return a.arcs[a.off[k]:a.off[k+1]] }
 
 // MCA returns the communication-intensity vector mca: MCA()[k] is the sum of
-// the weights of all clustered problem edges incident to cluster k. It is
-// used by step 3 of the initial-assignment algorithm to order the abstract
-// nodes that carry no critical edges.
-func (a *Abstract) MCA() []int {
-	mca := make([]int, a.K)
-	for k := 0; k < a.K; k++ {
-		for l := 0; l < a.K; l++ {
-			mca[k] += a.Weight[k][l]
-		}
-	}
-	return mca
-}
-
-// Neighbors returns the abstract nodes adjacent to k in ascending order.
-func (a *Abstract) Neighbors(k int) []int {
-	var ns []int
-	for l := 0; l < a.K; l++ {
-		if a.HasEdge(k, l) {
-			ns = append(ns, l)
-		}
-	}
-	return ns
-}
+// the weights of all clustered problem edges incident to cluster k, the
+// weight sum of Row(k). It is used by step 3 of the initial-assignment
+// algorithm to order the abstract nodes that carry no critical edges. The
+// slice is shared: callers must not modify it.
+func (a *Abstract) MCA() []int { return a.mca }
 
 // NumEdges returns the number of (undirected) abstract edges.
-func (a *Abstract) NumEdges() int {
-	n := 0
-	for k := 0; k < a.K; k++ {
-		for l := k + 1; l < a.K; l++ {
-			if a.Weight[k][l] > 0 {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// DegreeOrder returns the abstract node IDs sorted by descending MCA,
-// breaking ties by ascending ID. It is a convenience for deterministic
-// greedy placement.
-func (a *Abstract) DegreeOrder() []int {
-	mca := a.MCA()
-	ids := make([]int, a.K)
-	for i := range ids {
-		ids[i] = i
-	}
-	sort.SliceStable(ids, func(x, y int) bool {
-		if mca[ids[x]] != mca[ids[y]] {
-			return mca[ids[x]] > mca[ids[y]]
-		}
-		return ids[x] < ids[y]
-	})
-	return ids
-}
+func (a *Abstract) NumEdges() int { return len(a.arcs) / 2 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -102,33 +103,77 @@ func TestBuildAbstractWeightsAndMCA(t *testing.T) {
 	c := NewClustering(5, 3)
 	c.Of = []int{0, 0, 1, 2, 2}
 	a := BuildAbstract(p, c)
-	if a.Weight[0][1] != 5 || a.Weight[1][0] != 5 {
-		t.Fatalf("Weight[0][1] = %d, want 5 (symmetric)", a.Weight[0][1])
+	want := [][]AbsArc{
+		{{To: 1, W: 5}},
+		{{To: 0, W: 5}, {To: 2, W: 2}},
+		{{To: 1, W: 2}},
 	}
-	if a.Weight[1][2] != 2 {
-		t.Fatalf("Weight[1][2] = %d, want 2", a.Weight[1][2])
-	}
-	if a.Weight[0][2] != 0 {
-		t.Fatalf("Weight[0][2] = %d, want 0", a.Weight[0][2])
-	}
-	if a.HasEdge(0, 0) {
-		t.Fatal("self abstract edge reported")
-	}
-	if !a.HasEdge(0, 1) || a.HasEdge(0, 2) {
-		t.Fatal("HasEdge wrong")
+	for k, row := range want {
+		if got := a.Row(k); !reflect.DeepEqual(got, row) {
+			t.Fatalf("Row(%d) = %v, want %v", k, got, row)
+		}
 	}
 	if got := a.MCA(); !reflect.DeepEqual(got, []int{5, 7, 2}) {
 		t.Fatalf("MCA = %v, want [5 7 2]", got)
 	}
-	if got := a.Neighbors(1); !reflect.DeepEqual(got, []int{0, 2}) {
-		t.Fatalf("Neighbors(1) = %v", got)
-	}
 	if got := a.NumEdges(); got != 2 {
 		t.Fatalf("NumEdges = %d, want 2", got)
 	}
-	if got := a.DegreeOrder(); !reflect.DeepEqual(got, []int{1, 0, 2}) {
-		t.Fatalf("DegreeOrder = %v, want [1 0 2]", got)
+}
+
+// denseFold is the dense oracle for FoldAbstract: the paper's K×K
+// abs_edge weights, each arc between two clusters added in both
+// directions.
+func denseFold(c *Clustering, arcs []Arc) [][]int {
+	want := make([][]int, c.K)
+	for k := range want {
+		want[k] = make([]int, c.K)
 	}
+	for _, e := range arcs {
+		if k, l := c.Of[e.From], c.Of[e.To]; e.W > 0 && k != l {
+			want[k][l] += e.W
+			want[l][k] += e.W
+		}
+	}
+	return want
+}
+
+// matchesDense reports whether a's sparse rows hold exactly the nonzero
+// entries of want, each row strictly ascending in To (so parallel edges
+// are merged), and whether MCA and NumEdges agree with the rows.
+func matchesDense(a *Abstract, want [][]int) error {
+	if a.K != len(want) {
+		return fmt.Errorf("K = %d, want %d", a.K, len(want))
+	}
+	entries := 0
+	for k := 0; k < a.K; k++ {
+		row, sum, n := a.Row(k), 0, 0
+		for x, e := range row {
+			if x > 0 && row[x-1].To >= e.To {
+				return fmt.Errorf("Row(%d) = %v not strictly ascending", k, row)
+			}
+			if e.W <= 0 || e.W != want[k][e.To] {
+				return fmt.Errorf("Row(%d) entry %v, want weight %d", k, e, want[k][e.To])
+			}
+			sum += e.W
+		}
+		for _, w := range want[k] {
+			if w > 0 {
+				n++
+			}
+		}
+		if n != len(row) {
+			return fmt.Errorf("Row(%d) has %d entries, want %d", k, len(row), n)
+		}
+		if a.MCA()[k] != sum {
+			return fmt.Errorf("MCA[%d] = %d, want row sum %d", k, a.MCA()[k], sum)
+		}
+		entries += n
+	}
+	if a.NumEdges()*2 != entries {
+		return fmt.Errorf("NumEdges = %d, want %d", a.NumEdges(), entries/2)
+	}
+	return nil
 }
 
 func TestAbstractPropertySymmetricAndConsistent(t *testing.T) {
@@ -142,47 +187,66 @@ func TestAbstractPropertySymmetricAndConsistent(t *testing.T) {
 			c.Of[i] = rng.Intn(k)
 		}
 		a := BuildAbstract(p, c)
-		// Symmetry and zero diagonal.
-		for x := 0; x < k; x++ {
-			if a.Weight[x][x] != 0 {
-				return false
-			}
-			for y := 0; y < k; y++ {
-				if a.Weight[x][y] != a.Weight[y][x] {
-					return false
-				}
-			}
+		want := denseFold(c, p.View().Arcs())
+		if err := matchesDense(a, want); err != nil {
+			t.Log(err)
+			return false
 		}
-		// Total abstract weight counts each inter-cluster edge twice.
-		inter := 0
+		// The oracle is symmetric with a zero diagonal, and its total
+		// counts each inter-cluster edge twice.
+		inter, sum := 0, 0
 		for _, e := range p.View().Arcs() {
 			if c.Of[e.From] != c.Of[e.To] {
 				inter += e.W
 			}
 		}
-		sum := 0
 		for x := 0; x < k; x++ {
-			for y := 0; y < k; y++ {
-				sum += a.Weight[x][y]
-			}
-		}
-		if sum != 2*inter {
-			return false
-		}
-		// MCA is the row sum.
-		mca := a.MCA()
-		for x := 0; x < k; x++ {
-			row := 0
-			for y := 0; y < k; y++ {
-				row += a.Weight[x][y]
-			}
-			if mca[x] != row {
+			if want[x][x] != 0 {
 				return false
 			}
+			for y := 0; y < k; y++ {
+				if want[x][y] != want[y][x] {
+					return false
+				}
+				sum += want[x][y]
+			}
+		}
+		return sum == 2*inter
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFoldAbstractMatchesDenseOracle folds raw arc lists, which unlike a
+// problem's view may repeat a task pair, carry zero weights, stay inside
+// a cluster or leave clusters without any edge, and compares the rows
+// with the dense fold.
+func TestFoldAbstractMatchesDenseOracle(t *testing.T) {
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(30)
+		k := 1 + rng.Intn(n+4) // clusters beyond the tasks stay isolated
+		c := NewClustering(n, k)
+		for i := range c.Of {
+			c.Of[i] = rng.Intn(k)
+		}
+		arcs := make([]Arc, rng.Intn(4*n+1))
+		for x := range arcs {
+			if x > 0 && rng.Intn(4) == 0 {
+				arcs[x] = arcs[rng.Intn(x)] // a parallel arc
+				arcs[x].W = rng.Intn(6)
+				continue
+			}
+			arcs[x] = Arc{From: rng.Intn(n), To: rng.Intn(n), W: rng.Intn(6)}
+		}
+		if err := matchesDense(FoldAbstract(c, arcs), denseFold(c, arcs)); err != nil {
+			t.Log(err)
+			return false
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }

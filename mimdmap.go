@@ -94,7 +94,9 @@ type (
 	// Clustering maps each task to one of K clusters (K == processors).
 	Clustering = graph.Clustering
 	// Abstract is the cluster-level graph: clusters as nodes, summed
-	// inter-cluster communication as edge weights.
+	// inter-cluster communication as edge weights, kept as sparse rows:
+	// Row(k) lists cluster k's neighbours ascending, each with its summed
+	// weight (shared and read-only), and MCA() holds the row sums.
 	Abstract = graph.Abstract
 	// Assignment maps each cluster to its processor.
 	Assignment = schedule.Assignment
