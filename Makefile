@@ -59,10 +59,10 @@ bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 
 # Fast benchmark gate for CI: the refinement-kernel benchmarks
-# (BenchmarkSwapKernel, batched trials on the five Table 1–3 machines, the
-# large-cold shape and a narrow pipelines one; BenchmarkSwapScalar, the same
-# trials one TrySwap each; BenchmarkRefineTotalTime and
-# BenchmarkRefineEvaluateInto, the scalar paths) and the search-strategy
+# (BenchmarkSwapScalar, one priced trial per TrySwap on the five Table 1–3
+# machines, the large-cold shape and a narrow pipelines one;
+# BenchmarkRefineTotalTime and BenchmarkRefineEvaluateInto, the evaluator's
+# own passes) and the search-strategy
 # benchmark (BenchmarkRefiners: every registered refiner, portfolio
 # included, on three of those machines) at a short benchtime, so none can
 # rot unnoticed. BenchmarkSearchHeavy runs the search-heavy workload's shape
@@ -73,7 +73,7 @@ bench:
 # portfolio run smokes the multi-start lockstep path (elite exchange across
 # chains), which the single-chain BenchmarkRefiners cannot reach.
 bench-smoke:
-	$(GO) test -bench 'SwapKernel|SwapScalar|RefineTotalTime|RefineEvaluateInto' -benchtime 10x -run '^$$' ./internal/schedule/
+	$(GO) test -bench 'SwapScalar|RefineTotalTime|RefineEvaluateInto' -benchtime 10x -run '^$$' ./internal/schedule/
 	$(GO) test -bench 'InitialAssignment' -benchtime 10x -run '^$$' ./internal/core/
 	$(GO) test -run '^$$' -bench Refiners -benchtime 64x ./internal/search/
 	$(GO) test -bench 'SearchHeavy|ColdMapLarge' -benchtime 2x -run '^$$' .
@@ -89,13 +89,14 @@ bench-module:
 # Short fuzzing pass so the checked-in fuzzers actually run in CI instead
 # of only replaying their corpus seeds: ~10s each on the text-format
 # problem, system and clustering parsers, the swap session's
-# critical-chain certificate, and the server's request decoding/solve,
-# remap and fleet forwarding paths.
+# critical-chain bound, whole solves through the service layer, and the
+# server's request decoding/solve, remap and fleet forwarding paths.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseProblem$$' -fuzztime 10s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSystem$$' -fuzztime 10s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseClustering$$' -fuzztime 10s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz '^FuzzCertificate$$' -fuzztime 10s ./internal/schedule/
+	$(GO) test -run '^$$' -fuzz '^FuzzSolve$$' -fuzztime 10s ./internal/service/
 	$(GO) test -run '^$$' -fuzz '^FuzzSolveRequest$$' -fuzztime 10s ./cmd/mapserve/
 	$(GO) test -run '^$$' -fuzz '^FuzzRemapRequest$$' -fuzztime 10s ./cmd/mapserve/
 	$(GO) test -run '^$$' -fuzz '^FuzzForwardRequest$$' -fuzztime 10s ./cmd/mapserve/

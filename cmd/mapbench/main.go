@@ -23,7 +23,7 @@
 // mapserve resolve names against.
 //
 // mapbench reproduces results; it does not time anything. Kernel timings
-// are Go benchmarks (go test -bench SwapKernel ./internal/schedule/ and
+// are Go benchmarks (go test -bench SwapScalar ./internal/schedule/ and
 // go test -bench Refiners ./internal/search/), and end-to-end and
 // per-layer timings come from the repository benchmark (bash bench/run.sh,
 // with --trace 1 for the layer breakdown).

@@ -18,8 +18,8 @@
 // -starts N refines N independent seeded chains concurrently and keeps the
 // best mapping; -workers caps the concurrency (0 = all CPUs). -refiner
 // swaps the refinement strategy for any registered search strategy
-// (mimdmap.RefinerNames) — all priced through the same batched swap kernel
-// at the same trial budget.
+// (mimdmap.RefinerNames) — all priced through the same swap session at the
+// same trial budget.
 package main
 
 import (

@@ -51,10 +51,10 @@ func goldenRequest(problem, refiner string) map[string]any {
 // TestGoldenBodies compares mapserve response bodies with their checked-in
 // golden files, byte for byte: single-start /solve bodies for the paper,
 // pairwise, anneal and portfolio refiners, and one warm /remap. Between
-// them they price trials through every SwapSession entry point — 8-lane
-// batches and solo trials of the trial queue, anneal's TrySwap, and
-// full-reshuffle's TryAssign inside the portfolio — so a pricing change
-// that moves any total shows up here. Regenerate with `make golden` only
+// them they price trials through every SwapSession entry point — TrySwap
+// and the chain bound in paper, pairwise and anneal, and full-reshuffle's
+// TryAssign inside the portfolio — so a pricing change that moves any
+// total shows up here. Regenerate with `make golden` only
 // when an output change is intended.
 func TestGoldenBodies(t *testing.T) {
 	srv := newTestServer(t)

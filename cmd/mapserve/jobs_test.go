@@ -182,6 +182,30 @@ func TestJobValidation(t *testing.T) {
 	}
 }
 
+// TestStartsCapAnswers400 sends a starts value no solve could size its
+// chains for, to /solve and /jobs, inline and as a batch item: each must
+// come back as a 400 before any work starts, and the server must keep
+// serving afterwards.
+func TestStartsCapAnswers400(t *testing.T) {
+	probText, _ := serveInstance(t)
+	srv := newTestServer(t)
+	item := map[string]any{"problem": probText, "topology": "ring-6", "clusterer": "blocks", "starts": int64(1) << 62}
+	for _, tc := range []struct{ route, body string }{
+		{"/solve", mustJSON(t, item)},
+		{"/jobs", mustJSON(t, item)},
+		{"/jobs", mustJSON(t, map[string]any{"requests": []map[string]any{item}})},
+	} {
+		status, body := postJSON(t, srv.URL+tc.route, tc.body)
+		if status != http.StatusBadRequest || !strings.Contains(string(body), "starts") {
+			t.Fatalf("POST %s: status %d (want 400 naming starts): %s", tc.route, status, body)
+		}
+	}
+	item["starts"] = 2
+	if status, body := postSolve(t, srv.URL, mustJSON(t, item)); status != http.StatusOK {
+		t.Fatalf("solve after the rejections: status %d: %s", status, body)
+	}
+}
+
 // TestJobStoreBoundsAndTTL exercises the store directly: the capacity
 // bound evicts finished jobs first and refuses when everything is live,
 // and finished jobs expire after the TTL.

@@ -722,6 +722,9 @@ func submitJob(jobs *jobStore, wire *jobRequest, workers int) (string, error) {
 // toRequest converts the wire request into a solver request, parsing the
 // embedded text-format graphs.
 func toRequest(wire *solveRequest, workers int) (*mimdmap.Request, error) {
+	if wire.Starts > mimdmap.MaxStarts {
+		return nil, fmt.Errorf("starts: at most %d refinement chains", mimdmap.MaxStarts)
+	}
 	req := &mimdmap.Request{
 		Topology:  wire.Topology,
 		Clusterer: wire.Clusterer,

@@ -39,7 +39,7 @@ func (o *AnnealOptions) defaults(k int) {
 
 // AnnealTotalTime is simulated annealing on the total execution time
 // starting from a random assignment. It runs the registered "anneal" search
-// strategy over a batched SwapSession, so its trials price through the same
+// strategy over a SwapSession, so its trials price through the same
 // zero-allocation kernel as the refinement loop; opts.Steps is the trial
 // budget. Deterministic given rng.
 func AnnealTotalTime(e *schedule.Evaluator, opts AnnealOptions, rng *rand.Rand) (*schedule.Assignment, int) {

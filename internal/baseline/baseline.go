@@ -79,8 +79,8 @@ func bestOfDescents(k, restarts int, rng *rand.Rand, obj func(*schedule.Assignme
 // in place: it prices every pair swap of a (pairs i < j, ascending), applies
 // the first strictly best one, and repeats until no swap improves. It leaves
 // the local optimum in a and returns its objective value. The baselines'
-// objectives (negated cardinality, the phased comm cost) have no batched
-// kernel, so this scalar loop is their one engine; total-time descent runs
+// objectives (negated cardinality, the phased comm cost) have no swap
+// session, so this scalar loop is their one engine; total-time descent runs
 // search.Pairwise over a SwapSession instead.
 //
 //mapcheck:noalloc

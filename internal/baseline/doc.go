@@ -12,7 +12,7 @@
 //
 // No total-time search engine lives here: annealing, pairwise exchange and
 // the paper's random-change refinement are registered strategies of
-// internal/search over a batched schedule.SwapSession, and
+// internal/search over a schedule.SwapSession, and
 // AnnealTotalTime only draws a random start and runs the "anneal" strategy
 // from it. What remains in this package are the objectives that kernel
 // does not price: cardinality (Bokhari, MaxCardinality) and the Lee comm

@@ -16,16 +16,17 @@
 //     improvements (§4.3.3), stopping at the lower bound.
 //
 // Refinement is the hot path and a pluggable seam: every strategy is a
-// search.Refiner improving a batched schedule.SwapSession, selected by
+// search.Refiner improving a schedule.SwapSession, selected by
 // Options.Refiner (or by name through the service layer); the default is
-// the paper's §4.3.3 random-change refinement (search.Paper), which
-// drafts candidate swaps ahead and evaluates schedule.SwapLanes of them
-// in one interleaved, allocation-free pass, with results bit-identical to
-// trial-at-a-time refinement, including the random stream. Multi-start
-// runs (Options.Starts > 1) race independent refinement chains from the
-// shared initial assignment; each chain draws from its own derived
-// generator and runs its session on its own evaluator fork, so chains
-// share no mutable state and need no locks.
+// the paper's §4.3.3 random-change refinement (search.Paper). It rejects
+// a swap without pricing it when the incumbent's critical chain,
+// re-priced under the swap, already reaches the incumbent total, and
+// prices the rest with one allocation-free pass each, with results
+// bit-identical to pricing every trial, including the random stream.
+// Multi-start runs (Options.Starts > 1) race independent refinement
+// chains from the shared initial assignment; each chain draws from its
+// own derived generator and runs its session on its own evaluator fork,
+// so chains share no mutable state and need no locks.
 //
 //mapcheck:deterministic
 package core

@@ -26,7 +26,7 @@ type Options struct {
 	// negative disables refinement entirely (initial assignment only).
 	MaxRefinements int
 	// Refiner selects the local-search strategy that improves the initial
-	// assignment, plugged in over the batched swap kernel. nil means the
+	// assignment, plugged in over the swap session. nil means the
 	// paper's §4.3.3 random-change refinement (search.Paper);
 	// search.FullReshuffle is the literal reading of its step 4(a).
 	// Instances must be safe for concurrent chains (see search.Refiner);
@@ -357,7 +357,7 @@ func (r *Result) fold(procOf []int, tr search.Trace) {
 
 // refine runs the configured search strategy in place on res as chain i
 // (see chain), stopping early when ctx is cancelled. The strategy prices
-// its trials through a batched SwapSession committed to the chain's
+// its trials through a SwapSession committed to the chain's
 // assignment (the construction of the session is the chain's only
 // refinement allocation); the paper refiner's accept/reject decisions and
 // random stream are bit-identical to the historical trial-at-a-time loop.

@@ -18,18 +18,18 @@ import (
 // Options.Workers chains run at once. The best result wins; on equal total
 // times the lowest chain index is preferred.
 //
-// The moment any chain reaches the ideal-graph lower bound, Theorem 3
-// proves its assignment optimal, so all other chains are cancelled
-// (unless Options.DisableTermination is set).
+// The moment a chain reaches the ideal-graph lower bound, Theorem 3
+// proves its assignment optimal, so every chain with a higher index is
+// cancelled or never started (unless Options.DisableTermination is set).
+// Chains with a lower index run on: the lowest-index optimal chain wins,
+// as it would when the chains run one after another.
 //
-// Determinism: TotalTime, LowerBound, InitialTotalTime and OptimalProven
-// are reproducible for fixed options at any worker count — early
-// cancellation only ever fires on a provably optimal chain, so it cannot
-// change the winning total time, only which optimal assignment is
-// returned. With Starts <= 1 the run is bit-identical to Run, and with
-// DisableTermination no cancellation occurs, making the entire Result
-// deterministic. Cancelling ctx stops refinement early and returns the
-// best assignment found so far, never an error.
+// Determinism: the whole Result is reproducible for fixed options at any
+// worker count. Cancellation only ever removes chains that could not win:
+// a cancelled chain has a higher index than an optimal one, whose total
+// it cannot beat. With Starts <= 1 the run is bit-identical to Run.
+// Cancelling ctx stops refinement early and returns the best assignment
+// found so far, never an error.
 func (m *Mapper) RunParallel(ctx context.Context) (*Result, error) {
 	starts := m.opts.Starts
 	if starts <= 1 {
@@ -42,18 +42,38 @@ func (m *Mapper) RunParallel(ctx context.Context) (*Result, error) {
 	if rr, ok := m.refiner().(search.RoundRefiner); ok {
 		return m.runRounds(ctx, rr, base)
 	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	results := make([]*Result, starts)
-	// Chains never return an error, so ForEach can only report a
-	// cancellation — either ours (a chain proved optimality) or the
-	// caller's; both leave the best-so-far selection below valid.
-	_ = parallel.ForEach(cctx, starts, m.opts.Workers, func(chainCtx context.Context, i int) error {
+	var (
+		mu      sync.Mutex
+		optimal = starts                             // lowest chain index that proved optimality
+		cancels = make([]context.CancelFunc, starts) // of the chains running now
+	)
+	// Chains never return an error, so ForEach can only report the
+	// caller's cancellation, which leaves the best-so-far selection below
+	// valid.
+	_ = parallel.ForEach(ctx, starts, m.opts.Workers, func(chainCtx context.Context, i int) error {
+		mu.Lock()
+		if i > optimal {
+			mu.Unlock()
+			return nil
+		}
+		chainCtx, cancel := context.WithCancel(chainCtx)
+		defer cancel()
+		cancels[i] = cancel
+		mu.Unlock()
 		res := base.forChain(i)
 		m.refine(chainCtx, i, res)
 		results[i] = res
-		if res.OptimalProven && !m.opts.DisableTermination {
-			cancel()
+		mu.Lock()
+		defer mu.Unlock()
+		cancels[i] = nil
+		if res.OptimalProven && !m.opts.DisableTermination && i < optimal {
+			optimal = i
+			for _, c := range cancels[i+1:] {
+				if c != nil {
+					c()
+				}
+			}
 		}
 		return nil
 	})

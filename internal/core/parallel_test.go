@@ -160,8 +160,9 @@ func TestRunParallelDeterministicWithoutTermination(t *testing.T) {
 }
 
 // TestRunParallelTotalTimeDeterministic covers the default mode: early
-// cancellation may change which optimal chain wins, but never the returned
-// total time or the optimality verdict.
+// cancellation removes only chains that could not win, so the total time,
+// the optimality verdict, the winning chain and its assignment match the
+// sequential run at every worker count.
 func TestRunParallelTotalTimeDeterministic(t *testing.T) {
 	prob, clus, sys := refinableInstance(t, 29)
 	run := func(workers int) *Result {
@@ -179,9 +180,12 @@ func TestRunParallelTotalTimeDeterministic(t *testing.T) {
 	want := run(1)
 	for _, workers := range []int{4, 8} {
 		got := run(workers)
-		if got.TotalTime != want.TotalTime || got.OptimalProven != want.OptimalProven {
-			t.Fatalf("workers=%d: (time %d, opt %v) != workers=1 (time %d, opt %v)",
-				workers, got.TotalTime, got.OptimalProven, want.TotalTime, want.OptimalProven)
+		if got.TotalTime != want.TotalTime || got.OptimalProven != want.OptimalProven || got.Chain != want.Chain {
+			t.Fatalf("workers=%d: (time %d, opt %v, chain %d) != workers=1 (time %d, opt %v, chain %d)",
+				workers, got.TotalTime, got.OptimalProven, got.Chain, want.TotalTime, want.OptimalProven, want.Chain)
+		}
+		if !got.Assignment.Equal(want.Assignment) {
+			t.Fatalf("workers=%d: assignment differs from workers=1", workers)
 		}
 	}
 }
@@ -217,7 +221,8 @@ func TestRunParallelNeverWorseThanSequential(t *testing.T) {
 // TestRunParallelOptimalChainCancelsOthers finds an instance whose
 // sequential refinement reaches the lower bound, then checks that the
 // multi-start run returns a provably optimal result too — the early-cancel
-// path cannot lose the optimum, whichever chain gets there first.
+// path cannot lose the optimum, whichever chain gets there first — and
+// that the sequential run's winner wins at every worker count.
 func TestRunParallelOptimalChainCancelsOthers(t *testing.T) {
 	// Light communication keeps the bound attainable; search a few seeds
 	// for a case where refinement (not the initial assignment) reaches it.
@@ -252,20 +257,30 @@ func TestRunParallelOptimalChainCancelsOthers(t *testing.T) {
 		if !seq.OptimalProven || seq.Refinements == 0 {
 			continue // want the bound reached by refinement specifically
 		}
-		par, err := MapParallel(context.Background(), prob, clus, sys, Options{
-			Rand:    rand.New(rand.NewSource(seed)),
-			Starts:  6,
-			Workers: 4,
-		})
-		if err != nil {
-			t.Fatal(err)
+		run := func(workers int) *Result {
+			par, err := MapParallel(context.Background(), prob, clus, sys, Options{
+				Rand:    rand.New(rand.NewSource(seed)),
+				Starts:  6,
+				Workers: workers,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return par
 		}
-		if !par.OptimalProven || par.TotalTime != par.LowerBound {
-			t.Fatalf("seed %d: multi-start lost a provable optimum: time %d, bound %d, proven %v",
-				seed, par.TotalTime, par.LowerBound, par.OptimalProven)
-		}
-		if err := par.Assignment.Validate(); err != nil {
-			t.Fatal(err)
+		want := run(1)
+		for round := 0; round < 40; round++ {
+			par := run(2 + round%3)
+			if !par.OptimalProven || par.TotalTime != par.LowerBound {
+				t.Fatalf("seed %d: multi-start lost a provable optimum: time %d, bound %d, proven %v",
+					seed, par.TotalTime, par.LowerBound, par.OptimalProven)
+			}
+			if err := par.Assignment.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			if par.Chain != want.Chain || !par.Assignment.Equal(want.Assignment) {
+				t.Fatalf("seed %d round %d: optimal chain %d won, the sequential run picks chain %d", seed, round, par.Chain, want.Chain)
+			}
 		}
 		return
 	}

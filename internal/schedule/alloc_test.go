@@ -38,7 +38,8 @@ func TestEvaluatorSharesDistanceTable(t *testing.T) {
 
 // TestSwapSessionZeroAllocs pins the refinement trial contract on every
 // refine benchmark machine: after a session is built, TrySwap,
-// TrySwapBatch, CommitSwap and the certificate rebuild allocate nothing.
+// TrySwapBatch, CommitSwap, the chain trace and every bound query allocate
+// nothing.
 func TestSwapSessionZeroAllocs(t *testing.T) {
 	for _, sys := range refineMachines() {
 		e, a := benchInstance(t, sys, 7)
@@ -61,8 +62,12 @@ func TestSwapSessionZeroAllocs(t *testing.T) {
 			if sess.Certified(3, 4) {
 				refineBenchSink++
 			}
+			refineBenchSink += sess.SwapBound(1, 3)
+			if sess.CertifiedAssign(sess.ProcOf()) {
+				refineBenchSink++
+			}
 		}); allocs != 0 {
-			t.Fatalf("%s: TrySwap+CommitSwap+Certified allocates %v objects per call, want 0", sys.Name, allocs)
+			t.Fatalf("%s: TrySwap+CommitSwap+bound queries allocate %v objects per call, want 0", sys.Name, allocs)
 		}
 	}
 }
@@ -80,7 +85,7 @@ func TestEvaluateIntoWarmZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestSwapSessionMatchesEvaluator cross-checks the batch kernel and the
+// TestSwapSessionMatchesEvaluator cross-checks TrySwapBatch and the
 // scalar session against the plain evaluator over a random walk with
 // commits: every lane total must equal TotalTime of the swapped incumbent.
 func TestSwapSessionMatchesEvaluator(t *testing.T) {

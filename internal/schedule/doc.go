@@ -35,18 +35,17 @@
 // with Fork, which shares the read-only precomputation and costs only one
 // fresh arena.
 //
-// Refinement goes one step further: its trials are single swaps of a
-// shared incumbent, so a SwapSession (swap.go) prices SwapLanes of them in
-// one interleaved pass, exactly and allocation-free; any other trial costs
-// one full pass, as in the paper. Pricing (TrySwap, TrySwapBatch) never
-// changes the incumbent; CommitSwap accepts a priced swap with the total
-// its pricing call returned. For refiners whose acceptance test is
-// strict improvement, the session also certifies swaps that cannot lower
-// the total because neither swapped cluster owns a task on a traced
-// critical chain (SwapSession.Certified); such trials need no pass at all.
-// It also offers whole-assignment pricing (TryAssign/CommitAssign) for
-// permutation moves, annealing restarts and jump perturbations. Every
-// search strategy in internal/search runs on a SwapSession; see its
+// Refinement goes one step further: its trials are single swaps or whole
+// reshuffles of a shared incumbent, and most are rejected. A SwapSession
+// (swap.go) prices a trial exactly and allocation-free with one full
+// pass, as in the paper (TrySwap, TryAssign); pricing never changes the
+// incumbent, and CommitSwap/CommitAssign accept a priced trial with the
+// total its pricing call returned. The session also traces one critical
+// chain of the incumbent and re-prices just that chain under a candidate
+// (SwapBound, Certified, CertifiedAssign). Any DAG path priced under an
+// assignment is a lower bound on its total, so a trial whose re-priced
+// chain reaches the incumbent total cannot improve it and needs no pass.
+// Every search strategy in internal/search runs on a SwapSession; see its
 // documentation for the protocol.
 //
 // A contention-aware evaluator (an extension beyond the paper, used only by

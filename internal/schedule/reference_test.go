@@ -143,64 +143,101 @@ func TestReferenceMatchesEvaluator(t *testing.T) {
 	}
 }
 
-// certChecker checks a session's critical-chain certificate. Every pair
-// the session certifies must price, by the reference, at no less than the
-// incumbent total; the certificate must agree with one traced by a fresh
-// session of the same incumbent; and a rebuild must work from the
-// incumbent's true end times, whether it adopted them or ran a pass.
+// certChecker checks a session's critical-chain bound. For every pair, the
+// swap bound must not exceed the reference total of the swapped incumbent,
+// and a certified pair must price, by the reference, at no less than the
+// incumbent total; so must an anneal-style rejection, a bound above the
+// incumbent total. The assignment form must hold the same on random
+// candidates. Bounds must agree with those traced by a fresh session of
+// the same incumbent, and a trace must work from the incumbent's true end
+// times, whether it reused them or ran a pass.
 type certChecker struct {
-	certified, pairs int
-	adopted          map[string]int // rebuilds by end-time source
+	certified, above, pairs int
+	assigns, assignsCert    int
+	sources                 map[string]int // traces by end-time source
+	rng                     *rand.Rand     // draws the assignment-form candidates
+}
+
+func newCertChecker(seed int64) *certChecker {
+	return &certChecker{sources: map[string]int{}, rng: rand.New(rand.NewSource(seed))}
 }
 
 func (c *certChecker) check(e *Evaluator, s *SwapSession) error {
 	if !s.chainOK {
 		source := "pass"
-		switch {
-		case s.adopt >= 0:
-			source = "lane"
-		case s.adopt == adoptScratch:
+		if s.endsOK {
 			source = "scratch"
 		}
-		c.adopted[source]++
+		c.sources[source]++
 		s.Certified(0, 0)
 		fresh := make([]int, len(s.scratch))
 		e.fillEnds(s.ProcOf(), fresh)
 		if !slices.Equal(s.scratch, fresh) {
-			return fmt.Errorf("certificate rebuilt from %s end times that differ from a fresh pass", source)
+			return fmt.Errorf("chain traced from %s end times that differ from a fresh pass", source)
 		}
 	}
 	ref := e.NewSwapSession(FromPerm(s.ProcOf()))
 	trial := slices.Clone(s.ProcOf())
 	for k := 0; k < s.K(); k++ {
 		for l := k; l < s.K(); l++ {
-			got := s.Certified(k, l)
-			if want := ref.Certified(k, l); got != want {
-				return fmt.Errorf("Certified(%d,%d) = %v, a fresh session of the incumbent says %v", k, l, got, want)
+			bound := s.SwapBound(k, l)
+			if want := ref.SwapBound(k, l); bound != want {
+				return fmt.Errorf("SwapBound(%d,%d) = %d, a fresh session of the incumbent says %d", k, l, bound, want)
+			}
+			cert := s.Certified(k, l)
+			if cert != (bound >= s.TotalTime()) {
+				return fmt.Errorf("Certified(%d,%d) = %v with bound %d and total %d", k, l, cert, bound, s.TotalTime())
 			}
 			c.pairs++
-			if !got {
-				continue
-			}
-			c.certified++
 			trial[k], trial[l] = trial[l], trial[k]
 			total := referenceTotal(e, trial)
 			trial[k], trial[l] = trial[l], trial[k]
+			if bound > total {
+				return fmt.Errorf("swap (%d,%d): re-priced chain %d exceeds the exact total %d", k, l, bound, total)
+			}
+			if cert {
+				c.certified++
+				if total < s.TotalTime() {
+					return fmt.Errorf("certified swap (%d,%d) prices %d, below the incumbent total %d", k, l, total, s.TotalTime())
+				}
+			}
+			if bound > s.TotalTime() {
+				c.above++ // an anneal rejection candidate
+			}
+		}
+	}
+	for n := 0; n < 4; n++ {
+		copy(trial, s.ProcOf())
+		for m := c.rng.Intn(1 + s.K()); m > 0; m-- {
+			i, j := c.rng.Intn(s.K()), c.rng.Intn(s.K())
+			trial[i], trial[j] = trial[j], trial[i]
+		}
+		total := referenceTotal(e, trial)
+		if bound := s.chainBound(trial); bound > total {
+			return fmt.Errorf("assignment %v: re-priced chain %d exceeds the exact total %d", trial, bound, total)
+		}
+		cert := s.CertifiedAssign(trial)
+		if cert != ref.CertifiedAssign(trial) {
+			return fmt.Errorf("CertifiedAssign(%v) = %v, a fresh session of the incumbent disagrees", trial, cert)
+		}
+		c.assigns++
+		if cert {
+			c.assignsCert++
 			if total < s.TotalTime() {
-				return fmt.Errorf("certified swap (%d,%d) prices %d, below the incumbent total %d", k, l, total, s.TotalTime())
+				return fmt.Errorf("certified assignment %v prices %d, below the incumbent total %d", trial, total, s.TotalTime())
 			}
 		}
 	}
 	return nil
 }
 
-// TestCertificateSound is the certificate's oracle over random sequences
+// TestCertificateSound is the chain bound's oracle over random sequences
 // of TrySwap, TrySwapBatch, TryAssign and every kind of commit, with
-// certificate queries between them, on instances with zero-size tasks. On
+// bound queries between them, on instances with zero-size tasks. On
 // half of the runs every third cluster is pinned, as critical abstract
 // nodes are, so swaps draw from the movable rest.
 func TestCertificateSound(t *testing.T) {
-	c := certChecker{adopted: map[string]int{}}
+	c := newCertChecker(5)
 	for si, sys := range sessionTestSystems(23) {
 		for _, seed := range []int64{3, 1991} {
 			rng := rand.New(rand.NewSource(seed + int64(si)))
@@ -263,21 +300,23 @@ func TestCertificateSound(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d of %d pairs certified; rebuilds by source %v", c.certified, c.pairs, c.adopted)
-	if c.certified == 0 {
-		t.Fatal("no pair was ever certified; the oracle checked nothing")
+	t.Logf("%d of %d pairs certified, %d bounded above the total; %d of %d assignments certified; traces by source %v",
+		c.certified, c.pairs, c.above, c.assignsCert, c.assigns, c.sources)
+	if c.certified == 0 || c.above == 0 || c.assignsCert == 0 {
+		t.Fatal("some form of the bound never fired; the oracle checked nothing there")
 	}
-	for _, source := range []string{"lane", "scratch", "pass"} {
-		if c.adopted[source] == 0 {
-			t.Errorf("no certificate rebuild used %s end times", source)
+	for _, source := range []string{"scratch", "pass"} {
+		if c.sources[source] == 0 {
+			t.Errorf("no chain trace used %s end times", source)
 		}
 	}
 }
 
 // FuzzCertificate decodes a small instance and a sequence of session
-// operations from the fuzz input and checks the certificate after every
-// operation: certified pairs never price below the incumbent by the
-// reference, and adopted end times equal a fresh pass.
+// operations from the fuzz input and checks the chain bound (certChecker)
+// after every check operation and at the end: no re-priced chain exceeds
+// the exact total, certified candidates never price below the incumbent by
+// the reference, and reused end times equal a fresh pass.
 //
 // Input layout: byte 0 picks the machine, byte 1 the task count (≤ 24);
 // then per task its size, cluster and an edge mask to the next eight tasks
@@ -325,7 +364,7 @@ func FuzzCertificate(f *testing.F) {
 			t.Fatal(err)
 		}
 		s := e.NewSwapSession(NewAssignment(k))
-		ch := certChecker{adopted: map[string]int{}}
+		ch := newCertChecker(int64(len(data)))
 		var ks, ls, totals [SwapLanes]int
 		for ; len(data) >= 3; data = data[3:] {
 			op, i, j := int(data[0]), int(data[1])%k, int(data[2])%k

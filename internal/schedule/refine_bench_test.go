@@ -30,42 +30,13 @@ func benchInstance(tb testing.TB, sys *graph.System, seed int64) (*Evaluator, *A
 
 var refineBenchSink int
 
-// BenchmarkSwapKernel measures what a priced trial costs in the batch
-// kernel: batches of random pairs of a fixed incumbent, each batch one
-// evaluation pass, as the refinement loop prices them, on each of
-// benchShapes' shapes. b.N counts trials.
-func BenchmarkSwapKernel(b *testing.B) {
-	benchShapes(b, func(b *testing.B, sess *SwapSession, rng *rand.Rand, k int) {
-		var ks, ls, totals [SwapLanes]int
-		for t := 0; t < b.N; t += SwapLanes {
-			for l := 0; l < SwapLanes; l++ {
-				ks[l], ls[l] = RandSwapPair(rng, k)
-			}
-			sess.TrySwapBatch(&ks, &ls, &totals)
-			refineBenchSink += totals[0] + totals[SwapLanes-1]
-		}
-	})
-}
-
-// BenchmarkSwapScalar is BenchmarkSwapKernel's scalar companion: the same
-// random pairs on the same shapes, one TrySwap pass per trial. The ratio of
-// a batch (SwapLanes trials of BenchmarkSwapKernel) to one scalar trial is
-// the cost basis of the trial queue's choice between them.
+// BenchmarkSwapScalar measures what a priced trial costs: random pairs of
+// a fixed incumbent, one TrySwap pass each, as the refiners price the
+// trials their chain bound leaves open. It runs on the five refine
+// machines, the large-cold shape (np=2000 random DAG on mesh-8x16 under
+// random clustering) and a narrow one, 256 independent 4-task pipelines on
+// mesh-8x16, whose swaps each touch only a few chains. b.N counts trials.
 func BenchmarkSwapScalar(b *testing.B) {
-	benchShapes(b, func(b *testing.B, sess *SwapSession, rng *rand.Rand, k int) {
-		for t := 0; t < b.N; t++ {
-			refineBenchSink += sess.TrySwap(RandSwapPair(rng, k))
-		}
-	})
-}
-
-// benchShapes runs price on a fresh session of each of the swap
-// benchmarks' shapes: the five refine machines, the large-cold shape
-// (np=2000 random DAG on mesh-8x16 under random clustering) and a narrow
-// one, 256 independent 4-task pipelines on mesh-8x16, whose swaps each
-// touch only a few chains. price draws its pairs from rng over the k
-// clusters.
-func benchShapes(b *testing.B, price func(b *testing.B, sess *SwapSession, rng *rand.Rand, k int)) {
 	run := func(name string, build func(testing.TB) (*Evaluator, *Assignment)) {
 		b.Run(name, func(b *testing.B) {
 			e, a := build(b)
@@ -73,7 +44,9 @@ func benchShapes(b *testing.B, price func(b *testing.B, sess *SwapSession, rng *
 			rng := rand.New(rand.NewSource(7))
 			b.ReportAllocs()
 			b.ResetTimer()
-			price(b, sess, rng, a.K())
+			for t := 0; t < b.N; t++ {
+				refineBenchSink += sess.TrySwap(RandSwapPair(rng, a.K()))
+			}
 		})
 	}
 	for _, sys := range refineMachines() {

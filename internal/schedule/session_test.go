@@ -125,57 +125,6 @@ func TestIdentityBatchPricesIncumbent(t *testing.T) {
 	}
 }
 
-// TestLaneViewsSyncDegenerateLanes pins syncLanes's bookkeeping for
-// degenerate draws: lanes with k == l, duplicate lanes, and repeated syncs
-// after CommitSwap must leave procT exactly mirroring the incumbent with
-// each lane's swap applied — metamorphically checked against the lane views
-// of a fresh session on the same incumbent.
-func TestLaneViewsSyncDegenerateLanes(t *testing.T) {
-	e, a := benchInstance(t, topology.Mesh(4, 4), 31)
-	k := a.K()
-	rng := rand.New(rand.NewSource(37))
-	sess := e.NewSwapSession(a)
-	var ks, ls [SwapLanes]int
-	for round := 0; round < 50; round++ {
-		switch round % 3 {
-		case 0: // all-identity batch
-			for l := 0; l < SwapLanes; l++ {
-				ks[l], ls[l] = rng.Intn(k), 0
-				ls[l] = ks[l]
-			}
-		case 1: // mixed identity / duplicate / real swaps
-			for l := 0; l < SwapLanes; l++ {
-				ks[l], ls[l] = RandSwapPair(rng, k)
-			}
-			ks[0] = ls[0]
-			ks[3], ls[3] = ks[1], ls[1]
-		default:
-			for l := 0; l < SwapLanes; l++ {
-				ks[l], ls[l] = RandSwapPair(rng, k)
-			}
-		}
-		sess.syncLanes(&ks, &ls)
-
-		fresh := e.NewSwapSession(FromPerm(sess.ProcOf()))
-		fresh.syncLanes(&ks, &ls)
-		for i, want := range fresh.procT {
-			if sess.procT[i] != want {
-				t.Fatalf("round %d: procT[%d] = %d after incremental sync, fresh session says %d (lane %d, cluster %d)",
-					round, i, sess.procT[i], want, i%SwapLanes, i/SwapLanes)
-			}
-		}
-		// Sometimes commit (forcing the dirty full-refresh path next sync),
-		// sometimes sync again immediately (exercising undo/redo).
-		if round%2 == 0 {
-			i, j := RandSwapPair(rng, k)
-			if round%4 == 0 {
-				j = i // degenerate commit: swap of a cluster with itself
-			}
-			sess.CommitSwap(i, j, sess.TrySwap(i, j))
-		}
-	}
-}
-
 // TestSwapSessionTryAssign pins the whole-assignment trial path: TryAssign
 // prices any candidate exactly, leaves the incumbent untouched, and
 // CommitAssign adopts it.

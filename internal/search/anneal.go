@@ -14,15 +14,20 @@ import (
 // exp(-delta/T) under a geometric cooling schedule. The best assignment
 // ever seen is committed at return.
 //
-// Like the paper refiner, candidates come from the shared draw-ahead queue
-// (trialQueue): pairs are drawn schedule.SwapLanes at a time and
-// acceptance draws (rng.Float64) happen in resolution order, after the
-// batch's pair draws. The run is deterministic given rng, but the stream
-// differs from a scalar draw-evaluate-accept loop by construction —
-// annealing has no pinned legacy stream to preserve. Annealing accepts most
-// trials, and an accept discards the totals of every candidate behind it,
-// so its commits come a few trials apart and the queue prices them alone
-// rather than paying for a batch whose other lanes would be thrown away.
+// Like the paper refiner, pairs come from the shared draw buffer
+// (pairDraws), and acceptance draws (rng.Float64) happen in resolution
+// order, after the buffer's pair draws. The run is deterministic given
+// rng, but the stream differs from a scalar draw-evaluate-accept loop by
+// construction — annealing has no pinned legacy stream to preserve.
+//
+// A trial is rejected without pricing when its bound already settles it:
+// the session's re-priced critical chain b = SwapBound(k, l) is above the
+// current total, and the acceptance draw u satisfies u ≥ exp(−(b−cur)/T).
+// The exact total is at least b, so its delta > 0 would draw u anyway and
+// reject it. A trial the bound leaves open is priced through TrySwap and
+// reuses the u already drawn, so the stream does not change. The bound is
+// used only when no total is recorded and a priced total could not end the
+// run at the lower bound.
 type Anneal struct {
 	// InitialTemp is the starting temperature. 0 calibrates it from a short
 	// probe walk so roughly 80% of uphill moves are initially accepted.
@@ -42,15 +47,6 @@ func (*Anneal) Name() string { return "anneal" }
 //
 //mapcheck:noalloc
 func (an *Anneal) Refine(ctx context.Context, sess *schedule.SwapSession, b Budget, rng *rand.Rand) Trace {
-	var q trialQueue
-	return an.refine(ctx, sess, b, rng, &q)
-}
-
-// refine is Refine over a caller-owned queue, so tests can read its
-// pricing counters.
-//
-//mapcheck:noalloc
-func (an *Anneal) refine(ctx context.Context, sess *schedule.SwapSession, b Budget, rng *rand.Rand, q *trialQueue) Trace {
 	cooling := an.Cooling
 	if cooling == 0 {
 		cooling = 0.995
@@ -125,29 +121,47 @@ func (an *Anneal) refine(ctx context.Context, sess *schedule.SwapSession, b Budg
 		}
 	}
 
-	// The queue's draw count starts at the calibration probes already
+	// The buffer's draw count starts at the calibration probes already
 	// charged, so drawing stops exactly at b.Trials even when the
-	// remaining budget is not a whole batch.
-	*q = newTrialQueue(sess, free, rng, b.Trials, tr.Trials, false)
+	// remaining budget is not a whole buffer.
+	draws := newPairDraws(free, rng, b.Trials, tr.Trials)
 	for tr.Trials < b.Trials && temp > minTemp {
-		k, l, total, _, ok := q.next(ctx)
+		k, l, ok := draws.next(ctx)
 		if !ok {
 			break
 		}
 		tr.Trials++
+		u := -1.0 // the acceptance draw, once drawn
+		if !b.RecordTrials {
+			if bound := sess.SwapBound(k, l); bound > cur && (b.DisableTermination || bound > b.LowerBound) {
+				u = rng.Float64()
+				if u >= math.Exp(-float64(bound-cur)/temp) {
+					temp *= cooling
+					continue // rejected whatever its exact total
+				}
+			}
+		}
+		total := sess.TrySwap(k, l)
 		if tr.priced(&b, total) {
 			sess.CommitSwap(k, l, total)
 			return tr
 		}
 		delta := total - cur
-		take := delta <= 0 || rng.Float64() < math.Exp(-float64(delta)/temp)
+		take := delta <= 0
+		if !take {
+			if u < 0 {
+				u = rng.Float64()
+			}
+			take = u < math.Exp(-float64(delta)/temp)
+		}
 		temp *= cooling
 		if take {
 			if delta < 0 {
 				tr.Improved++ // the trial lowered the incumbent total
 			}
 			cur = total
-			q.commit(k, l, total)
+			sess.CommitSwap(k, l, total)
+			draws.commit()
 			if cur < bestTotal {
 				bestTotal = cur
 				copy(bestProc, sess.ProcOf())

@@ -17,8 +17,8 @@ import (
 // objective at an equal trial budget. The faithful cardinality-maximising
 // procedure lives in internal/baseline for the §2.2 comparisons.
 //
-// Descent sweeps ride the session's batch kernel via the Pairwise refiner;
-// each jump costs one whole-assignment evaluation. A run makes twice as
+// Descent sweeps run the Pairwise refiner, chain bound included; each jump
+// is always committed, so it costs one whole-assignment evaluation. A run makes twice as
 // many jumps as there are movable clusters, each a burst of a quarter of
 // them (at least one) random swaps.
 type Bokhari struct{}

@@ -12,18 +12,14 @@ import (
 // iff it does not worsen the total time (strictly improves — "keep if
 // better"), and stop early when a trial reaches the lower bound.
 //
-// Trials come from the shared draw-ahead queue (trialQueue) in certify
-// mode: a candidate swap that the session's critical-chain certificate
-// proves cannot lower the total is rejected without pricing, and the rest
-// are priced lazily: in one interleaved batch while commits are rare, and
-// alone while they come less than half a batch apart. Trials still
-// resolve strictly in draw order against the incumbent they would have
-// seen sequentially — after an accept, the unresolved candidates are
-// certified or priced again against the new incumbent — so results are
-// bit-identical to trial-at-a-time refinement, including the random stream
-// (drawing consumes rng in draw order; certifying and pricing consume
-// none). This is the exact loop core.Mapper ran before the strategy seam
-// existed, pinned by the mapper's determinism tests.
+// Pairs come from the shared draw buffer (pairDraws). A pair whose
+// re-priced critical chain already reaches the incumbent total
+// (SwapSession.Certified) cannot improve and is rejected without pricing;
+// every other pair is priced alone through TrySwap. Certifying consumes no
+// randomness, so results are bit-identical to pricing every trial,
+// including the random stream. This is the exact loop core.Mapper ran
+// before the strategy seam existed, pinned by the mapper's determinism
+// tests.
 type Paper struct{}
 
 // Name implements Refiner.
@@ -32,32 +28,25 @@ func (Paper) Name() string { return "paper" }
 // Refine implements Refiner.
 //
 //mapcheck:noalloc
-func (p Paper) Refine(ctx context.Context, sess *schedule.SwapSession, b Budget, rng *rand.Rand) Trace {
-	var q trialQueue
-	return p.refine(ctx, sess, b, rng, &q)
-}
-
-// refine is Refine over a caller-owned queue, so tests can read its
-// pricing counters.
-//
-//mapcheck:noalloc
-func (Paper) refine(ctx context.Context, sess *schedule.SwapSession, b Budget, rng *rand.Rand, q *trialQueue) Trace {
+func (Paper) Refine(ctx context.Context, sess *schedule.SwapSession, b Budget, rng *rand.Rand) Trace {
 	tr := Trace{Final: sess.TotalTime()}
 	//mapcheck:allow per-run free-cluster list, amortized over the trial budget
 	free := b.free(sess)
 	if len(free) < 2 || b.Trials <= 0 {
 		return tr
 	}
-	*q = newTrialQueue(sess, free, rng, b.Trials, 0, certifies(b, tr.Final))
+	draws := newPairDraws(free, rng, b.Trials, 0)
+	certify := certifies(b, tr.Final)
 	for tr.Trials < b.Trials {
-		k, l, total, cert, ok := q.next(ctx)
+		k, l, ok := draws.next(ctx)
 		if !ok {
 			break
 		}
 		tr.Trials++
-		if cert {
+		if certify && sess.Certified(k, l) {
 			continue // cannot improve: rejected unpriced
 		}
+		total := sess.TrySwap(k, l)
 		if tr.priced(&b, total) {
 			sess.CommitSwap(k, l, total)
 			return tr
@@ -65,8 +54,9 @@ func (Paper) refine(ctx context.Context, sess *schedule.SwapSession, b Budget, r
 		if total < tr.Final {
 			tr.Improved++
 			tr.Final = total
-			q.commit(k, l, total)
-			q.certify = certifies(b, tr.Final)
+			sess.CommitSwap(k, l, total)
+			draws.commit()
+			certify = certifies(b, tr.Final)
 		}
 	}
 	return tr
@@ -74,9 +64,10 @@ func (Paper) refine(ctx context.Context, sess *schedule.SwapSession, b Budget, r
 
 // FullReshuffle is the literal reading of §4.3.3 step 4(a): every trial
 // randomly re-permutes all movable clusters over the processors they may
-// occupy. There is no incumbent locality for the batch kernel to exploit,
-// so trials are priced with the session's whole-assignment pass
-// (TryAssign); the permutation and trial buffers are allocated once per
+// occupy. A permutation whose re-priced critical chain already reaches the
+// incumbent total (SwapSession.CertifiedAssign) is rejected without
+// pricing; the rest are priced with the session's whole-assignment pass
+// (TryAssign). The permutation and trial buffers are allocated once per
 // run, and schedule.RandPermInto draws from rng exactly as rand.Perm does.
 type FullReshuffle struct{}
 
@@ -100,6 +91,7 @@ func (FullReshuffle) Refine(ctx context.Context, sess *schedule.SwapSession, b B
 	copy(trial, sess.ProcOf())
 	//mapcheck:allow per-run permutation scratch, amortized over the trial budget
 	perm := make([]int, len(procs))
+	certify := certifies(b, tr.Final)
 	for t := 0; t < b.Trials; t++ {
 		if ctx.Err() != nil {
 			break
@@ -108,6 +100,9 @@ func (FullReshuffle) Refine(ctx context.Context, sess *schedule.SwapSession, b B
 		schedule.RandPermInto(rng, perm)
 		for i, k := range free {
 			trial[k] = procs[perm[i]]
+		}
+		if certify && sess.CertifiedAssign(trial) {
+			continue // cannot improve: rejected unpriced
 		}
 		total := sess.TryAssign(trial)
 		if tr.priced(&b, total) {
@@ -118,8 +113,7 @@ func (FullReshuffle) Refine(ctx context.Context, sess *schedule.SwapSession, b B
 			tr.Improved++
 			tr.Final = total
 			sess.CommitAssign(trial, total)
-		} else {
-			copy(trial, sess.ProcOf())
+			certify = certifies(b, tr.Final)
 		}
 	}
 	return tr

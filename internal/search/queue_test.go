@@ -8,20 +8,18 @@ import (
 	"slices"
 	"testing"
 
-	"mimdmap/internal/cluster"
-	"mimdmap/internal/gen"
 	"mimdmap/internal/graph"
-	"mimdmap/internal/paths"
 	"mimdmap/internal/schedule"
 	"mimdmap/internal/topology"
 )
 
 // batchedPaper and batchedAnneal are the Paper and Anneal loops as they
-// were before lazy pricing: every full queue of SwapLanes candidates is
-// priced as one TrySwapBatch, a partial queue at the end of the budget
-// trial by trial through TrySwap. They are the reference the lazy queue
-// must reproduce exactly — traces, recorded totals, final assignment and
-// the random stream.
+// were when every trial was priced in batches: every full queue of
+// SwapLanes candidates is priced as one TrySwapBatch, a partial queue at
+// the end of the budget trial by trial through TrySwap. They pin the
+// random streams, so they are the reference the production loops must
+// reproduce exactly — traces, recorded totals, final assignment and the
+// random stream.
 
 func batchedPaper(ctx context.Context, sess *schedule.SwapSession, b Budget, rng *rand.Rand) Trace {
 	tr := Trace{Final: sess.TotalTime()}
@@ -262,8 +260,8 @@ type refPair struct {
 	stopsEarly bool
 }
 
-// refinerPairs are the refiners whose queue pricing is compared with the
-// always-batched reference: the paper loop, annealing with calibration,
+// refinerPairs are the refiners whose production loops are compared with
+// the always-batched reference: the paper loop, annealing with calibration,
 // with a fixed start temperature, and with a MinTemp stop.
 func refinerPairs() []refPair {
 	out := []refPair{{name: "paper", lazy: Paper{}.Refine, ref: batchedPaper}}
@@ -308,8 +306,9 @@ func compareRuns(t *testing.T, label string, ev *schedule.Evaluator, start *sche
 	return want
 }
 
-// TestLazyPricingMatchesBatchedReference pins the lazy queue to the
-// always-batched loops over random instances, budgets that are and are not
+// TestLazyPricingMatchesBatchedReference pins the Paper and Anneal loops,
+// with every trial recorded and so priced, to the always-batched loops
+// over random instances, budgets that are and are not
 // whole batches, runs that stop at the lower bound, and annealing runs that
 // stop at MinTemp.
 func TestLazyPricingMatchesBatchedReference(t *testing.T) {
@@ -343,118 +342,43 @@ func TestLazyPricingMatchesBatchedReference(t *testing.T) {
 	}
 }
 
-// TestQueuePricesOnlyLanesItResolves is the lane accounting: a refiner
-// that accepts almost every trial must not pay for batches whose other
-// lanes an accept throws away, a refiner that rejects almost every trial
-// must keep pricing through the 8-lane batch kernel, and a paper run that
-// accepts more than a quarter of its priced trials must not price mostly
-// lanes that its commits discard.
-func TestQueuePricesOnlyLanesItResolves(t *testing.T) {
-	ev, start := instance(t, topology.Mesh(5, 8), 1991)
-	b := Budget{Trials: 2000, LowerBound: 1, DisableTermination: true}
-
-	var q trialQueue
-	an := &Anneal{InitialTemp: 1e6, Cooling: 0.99999}
-	tr := an.refine(context.Background(), ev.NewSwapSession(start), b, rand.New(rand.NewSource(1)), &q)
-	if tr.Trials == 0 || q.stats.resolved == 0 {
-		t.Fatal("annealing resolved no trials")
-	}
-	lanes := schedule.SwapLanes*q.stats.batches + q.stats.solos
-	perTrial := float64(lanes) / float64(q.stats.resolved)
-	t.Logf("anneal: %d resolved, %d batches, %d solo, %.2f lanes per trial", q.stats.resolved, q.stats.batches, q.stats.solos, perTrial)
-	if perTrial > 3 {
-		t.Errorf("high-acceptance annealing priced %.2f lanes per resolved trial, want ≤ 3", perTrial)
-	}
-
-	tr = Paper{}.refine(context.Background(), ev.NewSwapSession(start), b, rand.New(rand.NewSource(1)), &q)
-	priced := q.stats.resolved - q.stats.certified
-	share := float64(q.stats.fromFull) / float64(priced)
-	t.Logf("paper: %d resolved, %d certified, %d improved, %d batches, %d solo, %.1f%% of priced trials from full batches",
-		q.stats.resolved, q.stats.certified, tr.Improved, q.stats.batches, q.stats.solos, 100*share)
-	if q.stats.certified == 0 {
-		t.Error("paper refinement resolved no trial by the certificate")
-	}
-	if share < 0.9 {
-		t.Errorf("low-acceptance paper refinement priced %.1f%% of its priced trials in 8-lane batches, want ≥ 90%%", 100*share)
-	}
-	// Every priced lane is a trial handed out with its total, or a total a
-	// commit discarded. A lane spent on a trial that was then handed out as
-	// certified would break the balance.
-	if q.stats.lanes != priced+q.stats.discarded {
-		t.Errorf("paper refinement priced %d lanes for %d priced trials and %d discarded totals", q.stats.lanes, priced, q.stats.discarded)
-	}
-
-	// The large-cold shape with its 128-trial budget: more than a quarter
-	// of the priced trials are accepted, so a batch after most commits
-	// would price lanes the next commit throws away.
-	ev, start = largeColdInstance(t)
-	var sum queueStats
-	priced = 0
-	for seed := int64(1); seed <= 20; seed++ {
-		Paper{}.refine(context.Background(), ev.NewSwapSession(start), Budget{Trials: 128, LowerBound: 1}, rand.New(rand.NewSource(seed)), &q)
-		priced += q.stats.resolved - q.stats.certified
-		sum.batches += q.stats.batches
-		sum.solos += q.stats.solos
-		sum.lanes += q.stats.lanes
-		sum.discarded += q.stats.discarded
-	}
-	wasted := float64(sum.discarded) / float64(sum.lanes)
-	t.Logf("large-cold paper, 20 runs: %d priced trials, %d batches, %d solo, %d lanes, %d discarded (%.1f%%)",
-		priced, sum.batches, sum.solos, sum.lanes, sum.discarded, 100*wasted)
-	if wasted > 0.5 {
-		t.Errorf("high-acceptance paper refinement discarded %.1f%% of the lanes it priced, want ≤ 50%%", 100*wasted)
-	}
-}
-
-// largeColdInstance is the large-cold workload's shape: an np=2000 random
-// DAG (edge factor 3, sizes [1,20], weights [1,5]) on mesh-8x16 under
-// random clustering, with a random incumbent.
-func largeColdInstance(tb testing.TB) (*schedule.Evaluator, *schedule.Assignment) {
-	tb.Helper()
-	const np = 2000
-	rng := rand.New(rand.NewSource(1991))
-	p, err := gen.Random(gen.RandomConfig{
-		Tasks: np, EdgeProb: 3.0 / np, MinTaskSize: 1, MaxTaskSize: 20,
-		MinEdgeWeight: 1, MaxEdgeWeight: 5, Connected: true,
-	}, rng)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	sys := topology.Mesh(8, 16)
-	c, err := (&cluster.Random{Rand: rng}).Cluster(p, sys.NumNodes())
-	if err != nil {
-		tb.Fatal(err)
-	}
-	e, err := schedule.NewEvaluator(p, c, paths.New(sys))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return e, schedule.FromPerm(rng.Perm(sys.NumNodes()))
-}
-
-// TestCertifiedRefinersMatchUnrecorded pins the certificate's contract for
-// the refiners that use it: without RecordTrials, where certified trials
-// are rejected unpriced, Paper must match the always-batched reference and
-// Pairwise must match its own recorded run (which prices every pair), in
-// trials, improvements, final total and assignment, and at budget
-// exhaustion in the random stream too. A trial at the lower bound ends the
-// run, and the rng is not drawn from after it. Runs cover budgets that are
-// and are not whole batches, pinned clusters, termination switched off,
-// and a declared bound the run reaches part-way or drops below first,
-// which switches the certificate off mid-run.
+// TestCertifiedRefinersMatchUnrecorded pins the chain bound's contract
+// for the refiners that use it: without RecordTrials, where trials the
+// bound settles are rejected unpriced, Paper and Anneal must match their
+// batched references, and Pairwise and FullReshuffle their own recorded
+// runs (which price every trial), in trials, improvements, final total and
+// assignment, and at budget exhaustion in the random stream too. A trial
+// at the lower bound ends the run, and the rng is not drawn from after it.
+// Runs cover budgets that are and are not whole draw buffers, pinned
+// clusters, termination switched off, and a declared bound the run reaches
+// part-way or drops below first, which switches the bound off mid-run.
+// Every refiner must resolve some trials without pricing them.
 func TestCertifiedRefinersMatchUnrecorded(t *testing.T) {
+	recorded := func(r Refiner) refRun {
+		return func(ctx context.Context, sess *schedule.SwapSession, b Budget, rng *rand.Rand) Trace {
+			b.RecordTrials = true
+			return r.Refine(ctx, sess, b, rng)
+		}
+	}
+	annealRef := func(an *Anneal) refRun {
+		return func(ctx context.Context, sess *schedule.SwapSession, b Budget, rng *rand.Rand) Trace {
+			return batchedAnneal(an, ctx, sess, b, rng)
+		}
+	}
+	calibrated, fixed := &Anneal{}, &Anneal{InitialTemp: 40, Cooling: 0.999}
 	refiners := []struct {
 		name      string
 		lazy, ref refRun
 	}{
 		{"paper", Paper{}.Refine, batchedPaper},
-		{"pairwise", Pairwise{}.Refine, func(ctx context.Context, sess *schedule.SwapSession, b Budget, rng *rand.Rand) Trace {
-			b.RecordTrials = true
-			return Pairwise{}.Refine(ctx, sess, b, rng)
-		}},
+		{"pairwise", Pairwise{}.Refine, recorded(Pairwise{})},
+		{"full-reshuffle", FullReshuffle{}.Refine, recorded(FullReshuffle{})},
+		{"anneal", calibrated.Refine, annealRef(calibrated)},
+		{"anneal-fixed", fixed.Refine, annealRef(fixed)},
 	}
 	systems := []*graph.System{topology.Mesh(4, 4), topology.Hypercube(5), topology.Mesh(5, 8)}
-	certified, atBound := 0, 0
+	unpriced := map[string]int{}
+	atBound := 0
 	for si, sys := range systems {
 		for _, seed := range []int64{3, 1991} {
 			ev, start := instance(t, sys, seed+int64(si))
@@ -474,32 +398,39 @@ func TestCertifiedRefinersMatchUnrecorded(t *testing.T) {
 						label := fmt.Sprintf("%s %s seed %d budget %d variant %d", rf.name, sys.Name, seed, budget, variant)
 						rb := b
 						rb.RecordTrials = true
-						recorded := rf.ref(context.Background(), ev.NewSwapSession(start), rb, rand.New(rand.NewSource(seed)))
-						compareUnrecorded(t, label, ev, start, b, seed, rf.lazy, rf.ref)
-						if len(recorded.Totals) > 2 {
-							b.LowerBound = recorded.Totals[len(recorded.Totals)/2]
-							if compareUnrecorded(t, label+" bound", ev, start, b, seed, rf.lazy, rf.ref).AtBound {
+						rec := rf.ref(context.Background(), ev.NewSwapSession(start), rb, rand.New(rand.NewSource(seed)))
+						_, n := compareUnrecorded(t, label, ev, start, b, seed, rf.lazy, rf.ref)
+						unpriced[rf.name] += n
+						if len(rec.Totals) > 2 {
+							b.LowerBound = rec.Totals[len(rec.Totals)/2]
+							tr, n := compareUnrecorded(t, label+" bound", ev, start, b, seed, rf.lazy, rf.ref)
+							unpriced[rf.name] += n
+							if tr.AtBound {
 								atBound++
 							}
 						}
 					}
 				}
 			}
-			var q trialQueue
-			Paper{}.refine(context.Background(), ev.NewSwapSession(start), Budget{Trials: 500, LowerBound: 1}, rand.New(rand.NewSource(seed)), &q)
-			certified += q.stats.certified
 		}
 	}
-	if certified == 0 || atBound == 0 {
-		t.Fatalf("%d paper trials certified, %d runs stopped at the bound; the comparison missed a path", certified, atBound)
+	t.Logf("trials resolved without pricing: %v", unpriced)
+	for _, rf := range refiners {
+		if unpriced[rf.name] == 0 {
+			t.Errorf("%s resolved every trial by pricing it; the bound never fired", rf.name)
+		}
+	}
+	if atBound == 0 {
+		t.Fatal("no run stopped at the declared bound; the comparison missed a path")
 	}
 }
 
 // compareUnrecorded runs lazy and ref from the same start and generator
 // state without recording totals, and fails on any difference in the
 // trace or the final assignment, or, unless the run stopped at the lower
-// bound, in the generator's next draw. It returns the reference trace.
-func compareUnrecorded(t *testing.T, label string, ev *schedule.Evaluator, start *schedule.Assignment, b Budget, seed int64, lazy, ref refRun) Trace {
+// bound, in the generator's next draw. It returns the reference trace and
+// how many of lazy's trials its session resolved without pricing.
+func compareUnrecorded(t *testing.T, label string, ev *schedule.Evaluator, start *schedule.Assignment, b Budget, seed int64, lazy, ref refRun) (Trace, int) {
 	t.Helper()
 	refSess, lazySess := ev.NewSwapSession(start), ev.NewSwapSession(start)
 	refRng, lazyRng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
@@ -520,5 +451,9 @@ func compareUnrecorded(t *testing.T, label string, ev *schedule.Evaluator, start
 			t.Fatalf("%s: random streams diverged", label)
 		}
 	}
-	return want
+	unpriced := got.Trials - lazySess.Priced()
+	if unpriced < 0 {
+		t.Fatalf("%s: %d trials priced %d times", label, got.Trials, lazySess.Priced())
+	}
+	return want, unpriced
 }

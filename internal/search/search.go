@@ -3,14 +3,14 @@
 // random-change refinement, pairwise exchange (§2.2/ref [1]), simulated
 // annealing (refs [3], [14]) — is a Refiner improving a committed
 // schedule.SwapSession under a trial Budget. All strategies price trials
-// through the session — one full evaluation pass per trial or batch of
-// schedule.SwapLanes trials — so they share one zero-allocation hot path
-// and compete at an equal trial budget. Budget accounting stays
-// trial-based: a trial counts the same however it was resolved, so budgets
-// and results are independent of how a trial happened to be priced. The
-// named registry
-// (RefinerByName) is the single source of truth for which strategies
-// exist, mirroring the clusterer registry.
+// through the session — one full evaluation pass per priced trial — and
+// those that can settle a trial from the session's critical-chain bound do
+// so without a pass, so they share one zero-allocation hot path and
+// compete at an equal trial budget. Budget accounting stays trial-based: a
+// trial counts the same whether it was priced or settled by the bound, so
+// budgets and results are independent of how a trial was resolved. The
+// named registry (RefinerByName) is the single source of truth for which
+// strategies exist, mirroring the clusterer registry.
 //
 //mapcheck:deterministic
 package search
@@ -26,8 +26,8 @@ import (
 type Budget struct {
 	// Trials is the maximum number of candidate assignments the refiner may
 	// price ("a total of ns changes are allowed", §4.3.3). Refiners count a
-	// candidate when its trial is resolved against the incumbent it would
-	// have seen sequentially, so the count is batch-size independent.
+	// candidate when its trial is resolved against the incumbent, priced or
+	// settled by the session's chain bound.
 	Trials int
 	// Free lists the movable clusters — everything not pinned by a critical
 	// abstract node (definition 5 of §2.1). nil means every cluster moves.
@@ -95,8 +95,8 @@ func (b Budget) slice(trials int) Budget {
 // incumbent is the best assignment the strategy chose to keep, and its
 // TotalTime equals Final.
 type Trace struct {
-	// Trials is the number of candidate assignments actually priced and
-	// resolved.
+	// Trials is the number of candidate assignments resolved, priced or
+	// settled by the session's chain bound.
 	Trials int
 	// Improved is the number of trials that lowered the incumbent total.
 	Improved int

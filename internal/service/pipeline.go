@@ -488,6 +488,11 @@ func effectiveSeed(req *Request) int64 {
 	return 1
 }
 
+// MaxStarts is the most refinement chains one request may race
+// (Options.Starts). A solve sizes its per-chain state from Starts before
+// any chain runs, so a larger value is refused before any work starts.
+const MaxStarts = 64
+
 // validate checks the request's declarative shape. Deeper input validation
 // (DAG-ness, cluster counts, connectivity) happens in core.New and is
 // wrapped by the plan stage.
@@ -512,6 +517,9 @@ func validate(req *Request) *ValidationError {
 	}
 	if req.Refiner != "" && req.Options.Refiner != nil {
 		return &ValidationError{Field: "Refiner", Msg: "Refiner and Options.Refiner are mutually exclusive"}
+	}
+	if req.Options.Starts > MaxStarts {
+		return &ValidationError{Field: "Options.Starts", Msg: fmt.Sprintf("at most %d refinement chains", MaxStarts)}
 	}
 	if req.Options.PortfolioRounds < 0 {
 		return &ValidationError{Field: "Options.PortfolioRounds", Msg: "must be non-negative"}

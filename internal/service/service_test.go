@@ -51,6 +51,8 @@ func TestValidateRejectsMalformedRequests(t *testing.T) {
 		{"two machines", &Request{Problem: p, System: sys, Topology: "ring-6", Clusterer: "random"}, "Topology"},
 		{"no clustering", &Request{Problem: p, System: sys}, "Clustering"},
 		{"two clusterings", &Request{Problem: p, System: sys, Clustering: clus, Clusterer: "random"}, "Clusterer"},
+		{"too many starts", &Request{Problem: p, System: sys, Clustering: clus, Options: core.Options{Starts: MaxStarts + 1}}, "Options.Starts"},
+		{"huge starts", &Request{Problem: p, System: sys, Clustering: clus, Options: core.Options{Starts: 1 << 62}}, "Options.Starts"},
 	}
 	var s Solver
 	for _, tc := range cases {

@@ -38,6 +38,10 @@ type (
 	ClustererFactory = service.ClustererFactory
 )
 
+// MaxStarts is the most refinement chains (Options.Starts) a Solver races
+// for one request; it rejects a larger value with a ValidationError.
+const MaxStarts = service.MaxStarts
+
 // NewSolver returns a Solver whose SolveBatch fans out over at most the
 // given number of workers (0 = one per CPU).
 func NewSolver(workers int) *Solver { return service.NewSolver(workers) }
@@ -70,7 +74,7 @@ var (
 // The pluggable search engine. Every refinement and comparison strategy —
 // the paper's §4.3.3 random-change refinement, pairwise exchange, simulated
 // annealing, Bokhari's procedure — is a Refiner improving a committed
-// batched swap session under an equal trial budget, and the named registry
+// swap session under an equal trial budget, and the named registry
 // is the single source of truth for which strategies exist: CLI -refiner
 // flags, Request.Refiner, the server's GET /strategies, and the
 // CompareRefiners experiment all resolve through it.
